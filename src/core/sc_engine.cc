@@ -1,8 +1,8 @@
 #include "sc_engine.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "core/backend_registry.h"
@@ -18,16 +18,17 @@ namespace aqfpsc::core {
 
 namespace {
 
-/** Argmax over per-class scores (first index wins ties). */
-int
-argmaxLabel(const std::vector<double> &scores)
+/** Copy @p scores into @p pred (reusing its capacity) and set the
+ *  argmax label (first index wins ties). */
+void
+setPrediction(ScPrediction &pred, const std::vector<double> &scores)
 {
-    int label = 0;
+    pred.scores = scores;
+    pred.label = 0;
     for (std::size_t i = 1; i < scores.size(); ++i) {
-        if (scores[i] > scores[static_cast<std::size_t>(label)])
-            label = static_cast<int>(i);
+        if (scores[i] > scores[static_cast<std::size_t>(pred.label)])
+            pred.label = static_cast<int>(i);
     }
-    return label;
 }
 
 /**
@@ -107,108 +108,6 @@ ScNetworkEngine::stage(std::size_t i) const
     return plan_->stage(i);
 }
 
-ScPrediction
-ScNetworkEngine::infer(const nn::Tensor &image) const
-{
-    return inferIndexed(image, 0);
-}
-
-ScPrediction
-ScNetworkEngine::inferIndexed(const nn::Tensor &image,
-                              std::size_t index) const
-{
-    StageWorkspace workspace(*this);
-    return inferIndexed(image, index, workspace);
-}
-
-ScPrediction
-ScNetworkEngine::inferIndexed(const nn::Tensor &image, std::size_t index,
-                              StageWorkspace &ws) const
-{
-    assert(&ws.engine_ == this &&
-           "workspace belongs to a different engine");
-
-    StageContext &ctx = ws.ctx_;
-    armContext(ctx, cfg_.seed, index, image, true);
-
-    // Value-domain backends (traits.wantsInputStreams == false) read the
-    // image through the context instead and get an empty matrix — no
-    // per-image work on the fast accuracy-debugging path.
-    if (encodeInputStreams_)
-        fillInputStreams(ws.input_, image, cfg_, plan_->streamLen,
-                         ctx.imageSeed);
-    else
-        ws.input_.reset(0, 0);
-
-    // Ping-pong the activation buffers: stage s reads what stage s-1
-    // wrote and overwrites the other buffer, so no stream is ever copied
-    // and steady-state stage execution allocates nothing.
-    const sc::StreamMatrix *cur = &ws.input_;
-    int flip = 0;
-    for (std::size_t s = 0; s < plan_->stageCount(); ++s) {
-        const ScStage &stage = plan_->stage(s);
-        sc::StreamMatrix &out = ws.pingPong_[flip];
-        stage.runInto(*cur, out, ctx, ws.scratch_[s].get());
-        if (stage.terminal())
-            break;
-        cur = &out;
-        flip ^= 1;
-    }
-
-    ScPrediction pred;
-    pred.scores = ctx.scores; // copy: ctx keeps its capacity for reuse
-    pred.label = argmaxLabel(pred.scores);
-    return pred;
-}
-
-void
-ScNetworkEngine::inferCohort(const nn::Tensor *const images[],
-                             const std::size_t indices[], std::size_t count,
-                             CohortWorkspace &ws, ScPrediction out[]) const
-{
-    assert(&ws.engine_ == this &&
-           "workspace belongs to a different engine");
-    assert(count <= ws.capacity());
-    if (count == 0)
-        return;
-
-    for (std::size_t c = 0; c < count; ++c) {
-        CohortWorkspace::Slot &slot = ws.slots_[c];
-        armContext(slot.ctx, cfg_.seed, indices[c], *images[c], true);
-        if (encodeInputStreams_)
-            fillInputStreams(slot.input, *images[c], cfg_,
-                             plan_->streamLen, slot.ctx.imageSeed);
-        else
-            slot.input.reset(0, 0);
-    }
-
-    // Stage-major sweep: one dispatch per stage pushes the whole cohort
-    // through it, so the stage's weight streams are traversed once per
-    // cohort.  Each slot ping-pongs its own pair of activation buffers
-    // exactly like the single-image path.
-    int flip = 0;
-    for (std::size_t s = 0; s < plan_->stageCount(); ++s) {
-        const ScStage &stage = plan_->stage(s);
-        for (std::size_t c = 0; c < count; ++c) {
-            CohortWorkspace::Slot &slot = ws.slots_[c];
-            ws.views_[c] =
-                CohortSlot{s == 0 ? &slot.input : &slot.pingPong[flip ^ 1],
-                           &slot.pingPong[flip], &slot.ctx,
-                           slot.scratch[s].get()};
-        }
-        stage.runCohortSpan(ws.views_.data(), count, 0,
-                            plan_->stageStreamLens[s]);
-        if (stage.terminal())
-            break;
-        flip ^= 1;
-    }
-
-    for (std::size_t c = 0; c < count; ++c) {
-        out[c].scores = ws.slots_[c].ctx.scores;
-        out[c].label = argmaxLabel(out[c].scores);
-    }
-}
-
 bool
 ScNetworkEngine::supportsAdaptive(std::string *why_not) const
 {
@@ -224,27 +123,20 @@ ScNetworkEngine::supportsAdaptive(std::string *why_not) const
     return false;
 }
 
-namespace {
-
-/** Shared argument validation of the adaptive entry points. */
-void
-requireAdaptive(const ScNetworkEngine &engine, const AdaptivePolicy &policy)
+AdaptivePolicy
+ScNetworkEngine::fullLengthPolicy(std::size_t checkpoint_cycles) const
 {
-    const std::vector<std::string> errors = policy.validate();
-    if (!errors.empty()) {
-        std::string joined = "invalid AdaptivePolicy: ";
-        for (std::size_t i = 0; i < errors.size(); ++i)
-            joined += (i ? "; " : "") + errors[i];
-        throw std::invalid_argument(joined);
-    }
-    std::string why_not;
-    if (!engine.supportsAdaptive(&why_not)) {
-        throw std::invalid_argument(
-            "backend '" + engine.backendName() +
-            "' does not support adaptive inference: stage '" + why_not +
-            "' is not resumable");
-    }
+    AdaptivePolicy policy;
+    policy.checkpointCycles = checkpoint_cycles > 0 && plan_->resumable
+                                  ? checkpoint_cycles
+                                  : (plan_->streamLen + 63) / 64 * 64;
+    policy.exitMargin = std::numeric_limits<double>::infinity();
+    policy.minCycles = 0;
+    policy.deterministic = true;
+    return policy;
 }
+
+namespace {
 
 /**
  * The cooperative-cancellation point: called once per checkpoint block.
@@ -268,39 +160,70 @@ pollControl(const RunControl *control, std::size_t cycle)
 
 } // namespace
 
-AdaptivePrediction
-ScNetworkEngine::inferAdaptive(const nn::Tensor &image, std::size_t index,
-                               StageWorkspace &ws,
-                               const AdaptivePolicy &policy,
-                               const RunControl *control) const
+template <typename Retire>
+void
+ScNetworkEngine::run(const nn::Tensor *const images[],
+                     const std::size_t indices[], std::size_t count,
+                     CohortWorkspace &ws, const AdaptivePolicy &policy,
+                     const RunControl *control, Retire &&retire) const
 {
-    assert(&ws.engine_ == this &&
-           "workspace belongs to a different engine");
-    requireAdaptive(*this, policy);
-
+    if (&ws.engine() != this) {
+        throw std::invalid_argument(
+            "workspace was built for a different engine");
+    }
+    if (count > ws.capacity()) {
+        throw std::invalid_argument(
+            "cohort of " + std::to_string(count) +
+            " images exceeds the workspace capacity of " +
+            std::to_string(ws.capacity()));
+    }
+    const std::vector<std::string> errors = policy.validate();
+    if (!errors.empty()) {
+        std::string joined = "invalid AdaptivePolicy: ";
+        for (std::size_t i = 0; i < errors.size(); ++i)
+            joined += (i ? "; " : "") + errors[i];
+        throw std::invalid_argument(joined);
+    }
     const std::size_t len = plan_->streamLen;
-    const std::vector<std::size_t> &lens = plan_->stageStreamLens;
-    StageContext &ctx = ws.ctx_;
-    armContext(ctx, cfg_.seed, index, image, policy.deterministic);
-
-    if (encodeInputStreams_) {
-        if (policy.deterministic) {
-            // Full-length up-front SNG fill: the exact draws of the
-            // non-adaptive path, so any exit point is a bit-exact
-            // prefix.
-            fillInputStreams(ws.input_, image, cfg_, len, ctx.imageSeed);
-        } else {
-            ws.input_.reset(image.size(), len);
-        }
-    } else {
-        ws.input_.reset(0, 0);
+    const std::size_t block = std::min(policy.checkpointCycles, len);
+    // Only a run of several blocks resumes stage state across spans.
+    std::string why_not;
+    if (block < len && !supportsAdaptive(&why_not)) {
+        throw std::invalid_argument(
+            "backend '" + backendName_ +
+            "' does not support adaptive inference: stage '" + why_not +
+            "' is not resumable");
     }
 
-    const std::size_t block = std::min(policy.checkpointCycles, len);
-    AdaptivePrediction result;
-    const ScStage *terminalStage = nullptr;
-    std::size_t begin = 0;
-    for (;;) {
+    // Deterministic runs draw the full-length input streams up front —
+    // the exact draws of one full span, so any exit point is a bit-exact
+    // prefix; otherwise each block draws its own cycles below.
+    ws.active_.clear();
+    for (std::size_t c = 0; c < count; ++c) {
+        CohortWorkspace::Slot &slot = ws.slots_[c];
+        armContext(slot.ctx, cfg_.seed, indices[c], *images[c],
+                   policy.deterministic);
+        // Value-domain backends (traits.wantsInputStreams == false) read
+        // the image through the context instead and get an empty matrix.
+        if (!encodeInputStreams_)
+            slot.input.reset(0, 0);
+        else if (policy.deterministic)
+            fillInputStreams(slot.input, *images[c], cfg_, len,
+                             slot.ctx.imageSeed);
+        else
+            slot.input.reset(images[c]->size(), len);
+        ws.active_.push_back(c);
+    }
+
+    // The cohort advances through checkpoint blocks together, one stage
+    // dispatch per stage and block for every still-active image, so the
+    // stage's weight streams are traversed once per cohort.  Images whose
+    // margin clears the policy's threshold retire and are compacted out
+    // in place; a full-length run is the single block [0, len).
+    const std::vector<std::size_t> &lens = plan_->stageStreamLens;
+    const ScStage &terminal = plan_->stage(plan_->stageCount() - 1);
+    std::size_t checkpoints = 0;
+    for (std::size_t begin = 0; !ws.active_.empty();) {
         pollControl(control, begin);
         const std::size_t end = std::min(begin + block, len);
         if (encodeInputStreams_ && !policy.deterministic) {
@@ -308,50 +231,102 @@ ScNetworkEngine::inferAdaptive(const nn::Tensor &image, std::size_t index,
             // — cycles past an early exit are never generated.  The
             // block index is spread by the golden-ratio constant so no
             // two (image, block) pairs share a seed in practice.
-            sc::Xoshiro256StarStar rng(
-                ctx.imageSeed ^
-                (0xB10C5EEDULL + (begin / 64) * 0x9E3779B97F4A7C15ULL));
-            for (std::size_t i = 0; i < image.size(); ++i)
-                ws.input_.fillBipolarSpan(i, image[i], cfg_.rngBits, rng,
-                                          begin, end);
+            for (const std::size_t c : ws.active_) {
+                CohortWorkspace::Slot &slot = ws.slots_[c];
+                sc::Xoshiro256StarStar rng(
+                    slot.ctx.imageSeed ^
+                    (0xB10C5EEDULL + (begin / 64) * 0x9E3779B97F4A7C15ULL));
+                for (std::size_t i = 0; i < images[c]->size(); ++i)
+                    slot.input.fillBipolarSpan(i, (*images[c])[i],
+                                               cfg_.rngBits, rng, begin,
+                                               end);
+            }
         }
 
-        const sc::StreamMatrix *cur = &ws.input_;
+        // Ping-pong the activation buffers: stage s reads what stage s-1
+        // wrote and overwrites the other buffer, so no stream is ever
+        // copied.  Per-stage clamp: a stage whose own (non-increasing)
+        // length is already exhausted is skipped — its completed output
+        // persists per slot, and every downstream stage skips with it.
         int flip = 0;
         for (std::size_t s = 0; s < plan_->stageCount(); ++s) {
-            const ScStage &stage = plan_->stage(s);
-            sc::StreamMatrix &out = ws.pingPong_[flip];
-            // Per-stage clamp: a stage whose own (non-increasing) length
-            // is already exhausted is skipped — its completed output
-            // persists in the ping-pong buffer within this image, and
-            // every downstream stage (shorter still) skips with it.
-            const std::size_t sEnd = std::min(end, lens[s]);
-            if (begin < sEnd)
-                stage.runSpan(*cur, out, ctx, ws.scratch_[s].get(), begin,
-                              sEnd);
-            if (stage.terminal()) {
-                terminalStage = &stage;
-                break;
+            const std::size_t stageEnd = std::min(end, lens[s]);
+            if (begin < stageEnd) {
+                for (std::size_t k = 0; k < ws.active_.size(); ++k) {
+                    CohortWorkspace::Slot &slot = ws.slots_[ws.active_[k]];
+                    ws.views_[k] = CohortSlot{
+                        s == 0 ? &slot.input : &slot.pingPong[flip ^ 1],
+                        &slot.pingPong[flip], &slot.ctx,
+                        slot.scratch[s].get()};
+                }
+                plan_->stage(s).runCohortSpan(ws.views_.data(),
+                                              ws.active_.size(), begin,
+                                              stageEnd);
             }
-            cur = &out;
             flip ^= 1;
         }
 
-        ++result.checkpoints;
-        result.consumedCycles = end;
-        if (end >= len)
-            break;
-        if (end >= policy.minCycles && terminalStage != nullptr &&
-            terminalStage->scoreMargin(ctx, std::min(end, lens.back())) >=
-                policy.exitMargin) {
-            result.exitedEarly = true;
-            break;
+        ++checkpoints;
+        std::size_t keep = 0;
+        for (const std::size_t c : ws.active_) {
+            const StageContext &ctx = ws.slots_[c].ctx;
+            const bool early =
+                end < len && end >= policy.minCycles &&
+                terminal.scoreMargin(ctx, std::min(end, lens.back())) >=
+                    policy.exitMargin;
+            if (early || end >= len)
+                retire(c, ctx, end, checkpoints, early);
+            else
+                ws.active_[keep++] = c;
         }
+        ws.active_.resize(keep);
         begin = end;
     }
+}
 
-    result.prediction.scores = ctx.scores;
-    result.prediction.label = argmaxLabel(result.prediction.scores);
+ScPrediction
+ScNetworkEngine::infer(const nn::Tensor &image) const
+{
+    return inferIndexed(image, 0);
+}
+
+ScPrediction
+ScNetworkEngine::inferIndexed(const nn::Tensor &image,
+                              std::size_t index) const
+{
+    StageWorkspace workspace(*this);
+    return inferIndexed(image, index, workspace);
+}
+
+ScPrediction
+ScNetworkEngine::inferIndexed(const nn::Tensor &image, std::size_t index,
+                              StageWorkspace &ws) const
+{
+    const nn::Tensor *images[] = {&image};
+    ScPrediction pred;
+    inferCohort(images, &index, 1, ws, &pred);
+    return pred;
+}
+
+void
+ScNetworkEngine::inferCohort(const nn::Tensor *const images[],
+                             const std::size_t indices[], std::size_t count,
+                             CohortWorkspace &ws, ScPrediction out[]) const
+{
+    run(images, indices, count, ws, fullLengthPolicy(), nullptr,
+        [&](std::size_t c, const StageContext &ctx, std::size_t,
+            std::size_t, bool) { setPrediction(out[c], ctx.scores); });
+}
+
+AdaptivePrediction
+ScNetworkEngine::inferAdaptive(const nn::Tensor &image, std::size_t index,
+                               StageWorkspace &ws,
+                               const AdaptivePolicy &policy,
+                               const RunControl *control) const
+{
+    const nn::Tensor *images[] = {&image};
+    AdaptivePrediction result;
+    inferAdaptiveCohort(images, &index, 1, ws, policy, &result, control);
     return result;
 }
 
@@ -371,108 +346,14 @@ ScNetworkEngine::inferAdaptiveCohort(const nn::Tensor *const images[],
                                      AdaptivePrediction out[],
                                      const RunControl *control) const
 {
-    assert(&ws.engine_ == this &&
-           "workspace belongs to a different engine");
-    assert(count <= ws.capacity());
-    requireAdaptive(*this, policy);
-    if (count == 0)
-        return;
-    const std::size_t len = plan_->streamLen;
-    const std::vector<std::size_t> &lens = plan_->stageStreamLens;
-
-    ws.active_.clear();
-    for (std::size_t c = 0; c < count; ++c) {
-        CohortWorkspace::Slot &slot = ws.slots_[c];
-        armContext(slot.ctx, cfg_.seed, indices[c], *images[c],
-                   policy.deterministic);
-        if (encodeInputStreams_) {
-            if (policy.deterministic)
-                fillInputStreams(slot.input, *images[c], cfg_, len,
-                                 slot.ctx.imageSeed);
-            else
-                slot.input.reset(images[c]->size(), len);
-        } else {
-            slot.input.reset(0, 0);
-        }
-        out[c] = AdaptivePrediction{};
-        ws.active_.push_back(c);
-    }
-
-    // The cohort advances through checkpoint blocks together: every
-    // still-active image executes the same span sequence (and therefore
-    // the same per-image state transitions) as the single-image adaptive
-    // path, so results are bit-identical to inferAdaptive() per image.
-    // Retired images are compacted out in place, shrinking the cohort a
-    // stage dispatch serves.
-    const std::size_t block = std::min(policy.checkpointCycles, len);
-    std::size_t begin = 0;
-    while (!ws.active_.empty()) {
-        pollControl(control, begin);
-        const std::size_t end = std::min(begin + block, len);
-        if (encodeInputStreams_ && !policy.deterministic) {
-            for (const std::size_t c : ws.active_) {
-                CohortWorkspace::Slot &slot = ws.slots_[c];
-                sc::Xoshiro256StarStar rng(
-                    slot.ctx.imageSeed ^
-                    (0xB10C5EEDULL + (begin / 64) * 0x9E3779B97F4A7C15ULL));
-                for (std::size_t i = 0; i < images[c]->size(); ++i)
-                    slot.input.fillBipolarSpan(i, (*images[c])[i],
-                                               cfg_.rngBits, rng, begin,
-                                               end);
-            }
-        }
-
-        const ScStage *terminalStage = nullptr;
-        int flip = 0;
-        for (std::size_t s = 0; s < plan_->stageCount(); ++s) {
-            const ScStage &stage = plan_->stage(s);
-            // Per-stage clamp, as in inferAdaptive(): exhausted stages
-            // (and everything downstream — lengths are non-increasing)
-            // are skipped; completed outputs persist per slot.
-            const std::size_t sEnd = std::min(end, lens[s]);
-            if (begin < sEnd) {
-                for (std::size_t k = 0; k < ws.active_.size(); ++k) {
-                    CohortWorkspace::Slot &slot = ws.slots_[ws.active_[k]];
-                    ws.views_[k] = CohortSlot{
-                        s == 0 ? &slot.input : &slot.pingPong[flip ^ 1],
-                        &slot.pingPong[flip], &slot.ctx,
-                        slot.scratch[s].get()};
-                }
-                stage.runCohortSpan(ws.views_.data(), ws.active_.size(),
-                                    begin, sEnd);
-            }
-            if (stage.terminal()) {
-                terminalStage = &stage;
-                break;
-            }
-            flip ^= 1;
-        }
-
-        std::size_t keep = 0;
-        for (std::size_t k = 0; k < ws.active_.size(); ++k) {
-            const std::size_t c = ws.active_[k];
-            AdaptivePrediction &r = out[c];
-            ++r.checkpoints;
-            r.consumedCycles = end;
-            bool retire = end >= len;
-            if (!retire && end >= policy.minCycles &&
-                terminalStage != nullptr &&
-                terminalStage->scoreMargin(ws.slots_[c].ctx,
-                                           std::min(end, lens.back())) >=
-                    policy.exitMargin) {
-                retire = true;
-                r.exitedEarly = true;
-            }
-            if (retire) {
-                r.prediction.scores = ws.slots_[c].ctx.scores;
-                r.prediction.label = argmaxLabel(r.prediction.scores);
-            } else {
-                ws.active_[keep++] = c;
-            }
-        }
-        ws.active_.resize(keep);
-        begin = end;
-    }
+    run(images, indices, count, ws, policy, control,
+        [&](std::size_t c, const StageContext &ctx, std::size_t consumed,
+            std::size_t checkpoints, bool early) {
+            setPrediction(out[c].prediction, ctx.scores);
+            out[c].consumedCycles = consumed;
+            out[c].checkpoints = checkpoints;
+            out[c].exitedEarly = early;
+        });
 }
 
 ScEvalStats

@@ -25,6 +25,14 @@
  * core::BatchRunner, which evaluate() delegates to.  Each image's
  * randomness derives from seed XOR image-index, making every prediction
  * independent of batch size and thread count.
+ *
+ * Every execution mode is one loop: a cohort of images advances through
+ * the stream cycles [0, N) in checkpoint blocks of an AdaptivePolicy,
+ * one ScStage::runCohortSpan dispatch per stage and block.  Full-length
+ * inference (inferIndexed, inferCohort) is the single block [0, N) with
+ * an infinite exit margin (fullLengthPolicy()); single-image calls are
+ * cohorts of one.  The public infer* entry points are thin wrappers over
+ * that loop.
  */
 
 #ifndef AQFPSC_CORE_SC_ENGINE_H
@@ -41,8 +49,11 @@
 namespace aqfpsc::core {
 
 class ScStage;
-class StageWorkspace;
 class CohortWorkspace;
+
+/** The single-image workspace is a CohortWorkspace (of capacity 1 when
+ *  built without one; see core/workspace.h). */
+using StageWorkspace = CohortWorkspace;
 
 namespace stages {
 struct ExecutionPlan;
@@ -155,7 +166,8 @@ struct AdaptivePolicy
      * Cycles per checkpoint block; must be a positive multiple of 64
      * (the packed-stream word size — spans are word-aligned so the
      * incremental kernels never split a word).  Values >= streamLen
-     * degenerate to the non-adaptive single-block path.
+     * degenerate to the single-block full-length path, which also runs
+     * on backends whose stages are not resumable.
      */
     std::size_t checkpointCycles = 64;
 
@@ -250,22 +262,34 @@ class ScNetworkEngine
 
     /**
      * The zero-allocation serving path: run one image through
-     * @p workspace (which must have been constructed for this engine).
-     * All stage scratch and stream buffers come from the workspace, so
-     * steady-state calls perform no heap allocation inside the stage
-     * pipeline.  Results are bit-identical to the transient overload.
-     * Thread-safe across distinct workspaces.
+     * @p workspace.  All stage scratch and stream buffers come from the
+     * workspace, so steady-state calls perform no heap allocation inside
+     * the stage pipeline.  Results are bit-identical to the transient
+     * overload.  Thread-safe across distinct workspaces.
+     * @throws std::invalid_argument if @p workspace was built for a
+     *         different engine.
      */
     ScPrediction inferIndexed(const nn::Tensor &image, std::size_t index,
                               StageWorkspace &workspace) const;
 
     /**
-     * True when every compiled stage supports checkpointed (runSpan)
+     * True when every compiled stage supports multi-span (resumable)
      * execution, i.e. adaptive early-exit inference is available on this
      * backend.  When false and @p why_not is non-null, it receives the
      * first non-resumable stage's name.
      */
     bool supportsAdaptive(std::string *why_not = nullptr) const;
+
+    /**
+     * Full-length inference as a policy: exitMargin = infinity, so every
+     * image runs all streamLen cycles and its result is bit-identical to
+     * inferIndexed().  With @p checkpoint_cycles > 0 on a resumable
+     * backend the run is cut into blocks of that many cycles, between
+     * which inferAdaptiveCohort() polls its RunControl (what makes
+     * full-length serving cancellable); otherwise the policy is one
+     * block covering the whole stream.
+     */
+    AdaptivePolicy fullLengthPolicy(std::size_t checkpoint_cycles = 0) const;
 
     /**
      * Adaptive early-exit inference (see AdaptivePolicy): runs the stage
@@ -282,8 +306,9 @@ class ScNetworkEngine
      * block granularity, not stream granularity) and the run aborts
      * with StatusError{Cancelled|Timeout} when it fires.  Polling
      * never perturbs the results of runs that complete.
-     * @throws std::invalid_argument on invalid policies or if any stage
-     *         is not resumable (see supportsAdaptive()).
+     * @throws std::invalid_argument on invalid policies, a workspace of
+     *         another engine, or a policy of several checkpoint blocks
+     *         when a stage is not resumable (see supportsAdaptive()).
      * @throws StatusError when @p control reports cancellation/expiry.
      */
     AdaptivePrediction inferAdaptive(const nn::Tensor &image,
@@ -304,8 +329,9 @@ class ScNetworkEngine
      * Weight streams are traversed once per cohort, and every prediction
      * is bit-identical to inferIndexed(*images[c], indices[c]) — cohort
      * size changes throughput only, never results.  @p out receives
-     * @p count predictions.  @p count must not exceed the workspace's
-     * capacity.  Thread-safe across distinct workspaces.
+     * @p count predictions.  Thread-safe across distinct workspaces.
+     * @throws std::invalid_argument if @p count exceeds the workspace's
+     *         capacity or @p workspace was built for a different engine.
      */
     void inferCohort(const nn::Tensor *const images[],
                      const std::size_t indices[], std::size_t count,
@@ -320,7 +346,8 @@ class ScNetworkEngine
      * policy) for deterministic policies.  @p control is polled once
      * per checkpoint block for the whole cohort, exactly like
      * inferAdaptive(); on abort no entry of @p out is valid.
-     * @throws std::invalid_argument like inferAdaptive().
+     * @throws std::invalid_argument like inferAdaptive() and
+     *         inferCohort().
      * @throws StatusError when @p control reports cancellation/expiry.
      */
     void inferAdaptiveCohort(const nn::Tensor *const images[],
@@ -374,6 +401,19 @@ class ScNetworkEngine
     const stages::ExecutionPlan &plan() const { return *plan_; }
 
   private:
+    /**
+     * The one execution loop behind every infer* entry point: runs
+     * @p count images through the checkpoint blocks of @p policy,
+     * polling @p control before each block, and calls
+     * retire(c, ctx, consumedCycles, checkpoints, exitedEarly) once for
+     * each image c as it exits early or completes; ctx holds its scores.
+     */
+    template <typename Retire>
+    void run(const nn::Tensor *const images[], const std::size_t indices[],
+             std::size_t count, CohortWorkspace &workspace,
+             const AdaptivePolicy &policy, const RunControl *control,
+             Retire &&retire) const;
+
     ScEngineConfig cfg_;
     std::string backendName_;
     bool encodeInputStreams_ = true; ///< from the backend's traits

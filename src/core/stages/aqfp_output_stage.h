@@ -35,16 +35,17 @@ class AqfpOutputStage final : public ScStage
 
     bool terminal() const override { return true; }
 
-    std::unique_ptr<StageScratch> makeScratch() const override;
+    StageFootprint footprint() const override
+    {
+        return {0, streams().weights.streamLen()};
+    }
 
-    void runInto(const sc::StreamMatrix &in, sc::StreamMatrix &out,
-                 StageContext &ctx, StageScratch *scratch) const override;
+    std::unique_ptr<StageScratch> makeScratch() const override;
 
     bool resumable() const override { return true; }
 
-    void runSpan(const sc::StreamMatrix &in, sc::StreamMatrix &out,
-                 StageContext &ctx, StageScratch *scratch,
-                 std::size_t begin, std::size_t end) const override;
+    void runCohortSpan(const CohortSlot *slots, std::size_t count,
+                       std::size_t begin, std::size_t end) const override;
 
   private:
     /** The interned read-only compile product (possibly shared). */

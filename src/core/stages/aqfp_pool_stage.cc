@@ -41,7 +41,8 @@ StageFootprint
 AqfpPoolStage::footprint() const
 {
     return {static_cast<std::size_t>(geom_.channels) * geom_.outH *
-            geom_.outW};
+                geom_.outW,
+            streamLen_};
 }
 
 std::unique_ptr<StageScratch>
@@ -52,57 +53,55 @@ AqfpPoolStage::makeScratch() const
 }
 
 void
-AqfpPoolStage::runInto(const sc::StreamMatrix &in, sc::StreamMatrix &out,
-                       StageContext &ctx, StageScratch *scratch) const
-{
-    runSpan(in, out, ctx, scratch, 0, streamLen_);
-}
-
-void
-AqfpPoolStage::runSpan(const sc::StreamMatrix &in, sc::StreamMatrix &out,
-                       StageContext &, StageScratch *scratch,
-                       std::size_t begin, std::size_t end) const
+AqfpPoolStage::runCohortSpan(const CohortSlot *slots, std::size_t count,
+                             std::size_t begin, std::size_t end) const
 {
     // The stage runs at its own compiled length and consumes only the
     // prefix of a (possibly longer) upstream stream.
     const std::size_t len = streamLen_;
-    assert(in.streamLen() >= len);
     assert(begin % 64 == 0 && begin < end && end <= len);
     const std::size_t w0 = begin / 64;
     const std::size_t sw = (end - begin + 63) / 64;
+    const std::size_t rows = footprint().outputRows;
 
-    out.reset(footprint().outputRows, len);
-    auto &ws = *static_cast<PoolScratch *>(scratch);
-    sc::ColumnCounts &counts = ws.counts;
-    blocks::PoolingFeedbackUnit &unit = ws.unit;
+    for (std::size_t i = 0; i < count; ++i) {
+        const sc::StreamMatrix &in = *slots[i].in;
+        sc::StreamMatrix &out = *slots[i].out;
+        assert(in.streamLen() >= len);
+        out.reset(rows, len);
+        auto &ws = *static_cast<PoolScratch *>(slots[i].scratch);
+        sc::ColumnCounts &counts = ws.counts;
+        blocks::PoolingFeedbackUnit &unit = ws.unit;
 
-    for (int c = 0; c < geom_.channels; ++c) {
-        for (int y = 0; y < geom_.outH; ++y) {
-            for (int x = 0; x < geom_.outW; ++x) {
-                const std::size_t out_row =
-                    (static_cast<std::size_t>(c) * geom_.outH + y) *
-                        geom_.outW +
-                    x;
-                counts.clear();
-                for (int dy = 0; dy < 2; ++dy) {
-                    for (int dx = 0; dx < 2; ++dx) {
-                        counts.addWords(
-                            in.row((static_cast<std::size_t>(c) * geom_.inH +
-                                    (2 * y + dy)) *
-                                       geom_.inW +
-                                   (2 * x + dx)) +
-                                w0,
-                            sw);
+        for (int c = 0; c < geom_.channels; ++c) {
+            for (int y = 0; y < geom_.outH; ++y) {
+                for (int x = 0; x < geom_.outW; ++x) {
+                    const std::size_t out_row =
+                        (static_cast<std::size_t>(c) * geom_.outH + y) *
+                            geom_.outW +
+                        x;
+                    counts.clear();
+                    for (int dy = 0; dy < 2; ++dy) {
+                        for (int dx = 0; dx < 2; ++dx) {
+                            counts.addWords(
+                                in.row((static_cast<std::size_t>(c) *
+                                            geom_.inH +
+                                        (2 * y + dy)) *
+                                           geom_.inW +
+                                       (2 * x + dx)) +
+                                    w0,
+                                sw);
+                        }
                     }
+                    if (begin == 0)
+                        unit.reset();
+                    else
+                        unit.restore(4, ws.carries[out_row]);
+                    counts.drivePrefix(
+                        end - begin, [&](int cnt) { return unit.step(cnt); },
+                        out.row(out_row) + w0);
+                    ws.carries[out_row] = unit.carry();
                 }
-                if (begin == 0)
-                    unit.reset();
-                else
-                    unit.restore(4, ws.carries[out_row]);
-                counts.drivePrefix(end - begin,
-                                   [&](int cnt) { return unit.step(cnt); },
-                                   out.row(out_row) + w0);
-                ws.carries[out_row] = unit.carry();
             }
         }
     }

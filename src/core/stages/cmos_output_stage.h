@@ -34,16 +34,17 @@ class CmosOutputStage final : public ScStage
 
     bool terminal() const override { return true; }
 
-    std::unique_ptr<StageScratch> makeScratch() const override;
+    StageFootprint footprint() const override
+    {
+        return {0, streams().weights.streamLen()};
+    }
 
-    void runInto(const sc::StreamMatrix &in, sc::StreamMatrix &out,
-                 StageContext &ctx, StageScratch *scratch) const override;
+    std::unique_ptr<StageScratch> makeScratch() const override;
 
     bool resumable() const override { return true; }
 
-    void runSpan(const sc::StreamMatrix &in, sc::StreamMatrix &out,
-                 StageContext &ctx, StageScratch *scratch,
-                 std::size_t begin, std::size_t end) const override;
+    void runCohortSpan(const CohortSlot *slots, std::size_t count,
+                       std::size_t begin, std::size_t end) const override;
 
     double scoreMargin(const StageContext &ctx,
                        std::size_t cycles) const override;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
 
 #include "nn/layers.h"
 #include "nn/tensor.h"
@@ -47,6 +48,27 @@ applyActivation(std::vector<float> &v, FusedActivation activation)
     }
 }
 
+/**
+ * Evaluate @p fn (StageContext &) once per image of a full span; the
+ * value domain has no stream cycles to split, so a partial span is a
+ * caller error.
+ */
+template <typename Fn>
+void
+forEachImage(const ScStage &stage, const CohortSlot *slots,
+             std::size_t count, std::size_t begin, std::size_t end, Fn &&fn)
+{
+    for (std::size_t c = 0; c < count; ++c) {
+        if (begin != 0 || end < slots[c].in->streamLen()) {
+            throw std::logic_error("ScStage '" + stage.name() +
+                                   "' does not support partial spans "
+                                   "(resumable() is false)");
+        }
+        fn(*slots[c].ctx);
+        slots[c].out->reset(0, 0); // no streams flow between stages
+    }
+}
+
 /** Bipolar-domain majority value, as in nn::MajorityChainDense. */
 float
 majValue(float a, float x, float y)
@@ -72,8 +94,15 @@ FloatRefConvStage::name() const
 }
 
 void
-FloatRefConvStage::runInto(const sc::StreamMatrix &, sc::StreamMatrix &out,
-                           StageContext &ctx, StageScratch *) const
+FloatRefConvStage::runCohortSpan(const CohortSlot *slots, std::size_t count,
+                                 std::size_t begin, std::size_t end) const
+{
+    forEachImage(*this, slots, count, begin, end,
+                 [&](StageContext &ctx) { evaluate(ctx); });
+}
+
+void
+FloatRefConvStage::evaluate(StageContext &ctx) const
 {
     const std::vector<float> x = takeValues(
         ctx, static_cast<std::size_t>(geom_.inC) * geom_.inH * geom_.inW);
@@ -113,7 +142,6 @@ FloatRefConvStage::runInto(const sc::StreamMatrix &, sc::StreamMatrix &out,
     }
     applyActivation(y, activation_);
     ctx.values = std::move(y);
-    out.reset(0, 0); // value-domain: no streams flow between stages
 }
 
 FloatRefDenseStage::FloatRefDenseStage(const DenseGeometry &geom,
@@ -131,8 +159,15 @@ FloatRefDenseStage::name() const
 }
 
 void
-FloatRefDenseStage::runInto(const sc::StreamMatrix &, sc::StreamMatrix &out,
-                            StageContext &ctx, StageScratch *) const
+FloatRefDenseStage::runCohortSpan(const CohortSlot *slots, std::size_t count,
+                                  std::size_t begin, std::size_t end) const
+{
+    forEachImage(*this, slots, count, begin, end,
+                 [&](StageContext &ctx) { evaluate(ctx); });
+}
+
+void
+FloatRefDenseStage::evaluate(StageContext &ctx) const
 {
     const std::vector<float> x =
         takeValues(ctx, static_cast<std::size_t>(geom_.inFeatures));
@@ -147,7 +182,6 @@ FloatRefDenseStage::runInto(const sc::StreamMatrix &, sc::StreamMatrix &out,
     }
     applyActivation(y, activation_);
     ctx.values = std::move(y);
-    out.reset(0, 0); // value-domain: no streams flow between stages
 }
 
 std::string
@@ -158,8 +192,15 @@ FloatRefPoolStage::name() const
 }
 
 void
-FloatRefPoolStage::runInto(const sc::StreamMatrix &, sc::StreamMatrix &out,
-                           StageContext &ctx, StageScratch *) const
+FloatRefPoolStage::runCohortSpan(const CohortSlot *slots, std::size_t count,
+                                 std::size_t begin, std::size_t end) const
+{
+    forEachImage(*this, slots, count, begin, end,
+                 [&](StageContext &ctx) { evaluate(ctx); });
+}
+
+void
+FloatRefPoolStage::evaluate(StageContext &ctx) const
 {
     const std::vector<float> x = takeValues(
         ctx,
@@ -183,7 +224,6 @@ FloatRefPoolStage::runInto(const sc::StreamMatrix &, sc::StreamMatrix &out,
         }
     }
     ctx.values = std::move(y);
-    out.reset(0, 0); // value-domain: no streams flow between stages
 }
 
 FloatRefOutputStage::FloatRefOutputStage(const DenseGeometry &geom,
@@ -203,8 +243,15 @@ FloatRefOutputStage::name() const
 }
 
 void
-FloatRefOutputStage::runInto(const sc::StreamMatrix &, sc::StreamMatrix &out,
-                             StageContext &ctx, StageScratch *) const
+FloatRefOutputStage::runCohortSpan(const CohortSlot *slots, std::size_t count,
+                                   std::size_t begin, std::size_t end) const
+{
+    forEachImage(*this, slots, count, begin, end,
+                 [&](StageContext &ctx) { evaluate(ctx); });
+}
+
+void
+FloatRefOutputStage::evaluate(StageContext &ctx) const
 {
     const std::vector<float> x =
         takeValues(ctx, static_cast<std::size_t>(geom_.inFeatures));

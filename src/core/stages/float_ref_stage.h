@@ -14,6 +14,10 @@
  * debugging: run the same InferenceSession on "aqfp-sorter" and
  * "float-ref" and diff the per-class scores to separate SC noise from
  * model error.
+ *
+ * The stages have no notion of stream cycles, so none is resumable: a
+ * span must start at cycle 0 and cover the whole (empty) input, and a
+ * partial span throws std::logic_error.
  */
 
 #ifndef AQFPSC_CORE_STAGES_FLOAT_REF_STAGE_H
@@ -37,10 +41,12 @@ class FloatRefConvStage final : public ScStage
     FloatRefConvStage(const ConvGeometry &geom, WeightedStageInit init);
 
     std::string name() const override;
-    void runInto(const sc::StreamMatrix &in, sc::StreamMatrix &out,
-                 StageContext &ctx, StageScratch *scratch) const override;
+    void runCohortSpan(const CohortSlot *slots, std::size_t count,
+                       std::size_t begin, std::size_t end) const override;
 
   private:
+    void evaluate(StageContext &ctx) const;
+
     ConvGeometry geom_;
     std::vector<float> w_, b_;
     FusedActivation activation_;
@@ -53,10 +59,12 @@ class FloatRefDenseStage final : public ScStage
     FloatRefDenseStage(const DenseGeometry &geom, WeightedStageInit init);
 
     std::string name() const override;
-    void runInto(const sc::StreamMatrix &in, sc::StreamMatrix &out,
-                 StageContext &ctx, StageScratch *scratch) const override;
+    void runCohortSpan(const CohortSlot *slots, std::size_t count,
+                       std::size_t begin, std::size_t end) const override;
 
   private:
+    void evaluate(StageContext &ctx) const;
+
     DenseGeometry geom_;
     std::vector<float> w_, b_;
     FusedActivation activation_;
@@ -69,10 +77,12 @@ class FloatRefPoolStage final : public ScStage
     explicit FloatRefPoolStage(const PoolGeometry &geom) : geom_(geom) {}
 
     std::string name() const override;
-    void runInto(const sc::StreamMatrix &in, sc::StreamMatrix &out,
-                 StageContext &ctx, StageScratch *scratch) const override;
+    void runCohortSpan(const CohortSlot *slots, std::size_t count,
+                       std::size_t begin, std::size_t end) const override;
 
   private:
+    void evaluate(StageContext &ctx) const;
+
     PoolGeometry geom_;
 };
 
@@ -84,10 +94,12 @@ class FloatRefOutputStage final : public ScStage
 
     std::string name() const override;
     bool terminal() const override { return true; }
-    void runInto(const sc::StreamMatrix &in, sc::StreamMatrix &out,
-                 StageContext &ctx, StageScratch *scratch) const override;
+    void runCohortSpan(const CohortSlot *slots, std::size_t count,
+                       std::size_t begin, std::size_t end) const override;
 
   private:
+    void evaluate(StageContext &ctx) const;
+
     DenseGeometry geom_;
     std::vector<float> w_, b_;
     bool majorityChain_;

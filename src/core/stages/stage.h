@@ -16,21 +16,14 @@
  * pure function of (network, config, image, image index) regardless of
  * thread schedule.
  *
- * Execution entry points, all per-image state in caller-owned scratch:
- *
- *  - runInto(in, out, ctx, scratch): the allocation-free hot path.  The
- *    stage reshapes @p out (a reusable arena buffer that only ever
- *    grows) and fully overwrites it, drawing all scratch state from the
- *    StageScratch it built once via makeScratch().  Steady-state
- *    inference through core::StageWorkspace performs no heap allocation
- *    here.
- *  - runSpan(...): checkpointed execution of one 64-cycle-aligned block,
- *    resuming per-image state across blocks (adaptive early exit).
- *  - runCohortSpan(...): stage-major cohort execution — one stage
- *    dispatch processes the same span of several images, so weight
- *    streams are traversed once per cohort instead of once per image.
- *    The default loops runSpan() per image; the linear kernel cores
- *    override it with interleaved per-image block processing.
+ * One execution entry point: runCohortSpan(slots, count, begin, end)
+ * processes stream cycles [begin, end) of a cohort of images in one
+ * stage dispatch.  A full-length run is the one span [0, stream length),
+ * a single image is a cohort of one, and adaptive early exit is a
+ * sequence of adjacent 64-cycle-aligned spans with per-image state
+ * resumed in the scratch.  runInto() and runSpan() are non-virtual
+ * single-image conveniences over it.  Steady-state execution through a
+ * core::CohortWorkspace performs no heap allocation.
  */
 
 #ifndef AQFPSC_CORE_STAGES_STAGE_H
@@ -76,10 +69,10 @@ struct StageContext
     std::vector<float> values;
 
     /**
-     * Checkpointed (runSpan) execution only: when true, stages whose
-     * randomness consumption depends on stream position (CmosPool's MUX
-     * selects) replay the exact draw sequence of the uninterrupted path,
-     * so block-wise execution is bit-identical to runInto().  When
+     * Multi-span execution only: when true, stages whose randomness
+     * consumption depends on stream position (CmosPool's MUX selects)
+     * replay the exact draw sequence of the uninterrupted path, so
+     * block-wise execution is bit-identical to one full span.  When
      * false, they may draw from cheaper per-block substreams instead
      * (statistically equivalent, not bit-identical).
      */
@@ -100,14 +93,17 @@ class StageScratch
 };
 
 /**
- * Compile-time resource declaration of one stage, used by
- * core::StageWorkspace to pre-size its arena buffers before the first
- * image runs.
+ * Compile-time resource declaration of one stage, used by the stage
+ * compiler to plan the workspace buffers before the first image runs.
  */
 struct StageFootprint
 {
-    /** Rows runInto() writes into @p out (0 = terminal / value-domain). */
+    /** Rows the stage writes into its output (0 = terminal /
+     *  value-domain). */
     std::size_t outputRows = 0;
+    /** Cycles of one full run: the stage's compiled stream length (0 for
+     *  value-domain stages, which ignore stream cycles). */
+    std::size_t streamLen = 0;
 };
 
 /**
@@ -120,9 +116,11 @@ inline constexpr std::size_t kMaxCohortImages = 64;
 
 /**
  * One image's execution slot within a cohort: the per-image buffers and
- * state a stage needs to process that image's span.  @c in / @c out
- * follow the same contract as runInto()/runSpan(); @c scratch must come
- * from this stage's makeScratch() and belong to this slot alone.
+ * state a stage needs to process that image's span.  @c in holds the
+ * upstream streams (possibly longer than this stage's own length: a
+ * stage consumes their prefix), @c out the stage's output buffer (reused
+ * across images, only ever grows); @c scratch must come from this
+ * stage's makeScratch() and belong to this slot alone.
  */
 struct CohortSlot
 {
@@ -171,65 +169,46 @@ class ScStage
     }
 
     /**
-     * Execute the stage on one image's streams, writing the output
-     * streams into @p out (reshaped and fully overwritten by the stage;
-     * its buffer is reused across images and only ever grows).
-     * @p scratch must come from this stage's makeScratch().
-     *
-     * Thread-safe across distinct (out, scratch) pairs.  Terminal stages
-     * fill @p ctx .scores and leave @p out untouched.
-     */
-    virtual void runInto(const sc::StreamMatrix &in, sc::StreamMatrix &out,
-                         StageContext &ctx, StageScratch *scratch) const = 0;
-
-    /**
-     * True when this stage implements runSpan(), i.e. can execute a
-     * stream in 64-cycle-aligned blocks with per-image state resumed
-     * across blocks.  Adaptive (early-exit) inference requires every
-     * stage of the graph to be resumable.
+     * True when this stage can execute a stream in several adjacent
+     * spans with per-image state resumed across them.  A multi-span run
+     * (adaptive early exit) requires every stage of the graph to be
+     * resumable; a non-resumable stage accepts only full spans — from
+     * cycle 0 over its whole input — and throws std::logic_error for
+     * partial ones.
      */
     virtual bool resumable() const { return false; }
 
     /**
-     * Checkpointable execution: process input cycles [@p begin, @p end)
-     * and write the same cycle range of the output streams (only the
-     * covered words of @p out are touched; @p begin must be 64-aligned).
+     * THE execution entry point: process stream cycles [@p begin, @p end)
+     * of @p count images (1 <= count <= kMaxCohortImages) in one stage
+     * dispatch.  @p begin must be 64-aligned and @p end must not exceed
+     * the stage's own length (footprint().streamLen).
      *
-     * Per-image sequential state (feedback-vector counts, activation
-     * counters, score accumulators, per-pixel RNG positions) lives in
-     * @p scratch: a call with begin == 0 re-arms it for a new image and
-     * reshapes @p out; later calls resume it, so that covering [0, N)
-     * with any sequence of adjacent spans is bit-identical to one
-     * runInto() pass (see StageContext::deterministicSpans for the one
+     * Per image, a span with begin == 0 re-arms the scratch for a new
+     * image and reshapes @c out; later spans resume it, so covering
+     * [0, N) with any sequence of adjacent spans is bit-identical to the
+     * one span [0, N) (see StageContext::deterministicSpans for the one
      * permitted deviation).  Within one image, spans must be executed in
-     * order and without gaps.  Terminal stages update ctx.scores to the
-     * scores over cycles [0, @p end) — at end == N these equal the
-     * runInto() scores exactly.
+     * order and without gaps.  Only the covered words of @c out are
+     * written.  Terminal stages write ctx.scores over cycles [0, @p end)
+     * instead of streams.
      *
-     * Thread-safe across distinct (out, scratch) pairs, like runInto().
-     * Default: forwards full spans ([0, input length)) to runInto() and
-     * throws std::logic_error for partial ones — a stage that returns
-     * resumable() == true must override it.
-     */
-    virtual void runSpan(const sc::StreamMatrix &in, sc::StreamMatrix &out,
-                         StageContext &ctx, StageScratch *scratch,
-                         std::size_t begin, std::size_t end) const;
-
-    /**
-     * Stage-major cohort execution: process cycles [@p begin, @p end) of
-     * @p count images in one stage dispatch.  Each slot follows the
-     * runSpan() contract independently (per-slot resume state, spans in
-     * order and without gaps), and the result per image is bit-identical
-     * to runSpan(*slot.in, *slot.out, *slot.ctx, slot.scratch, begin,
-     * end) — cohort size never changes results, only how often shared
-     * weight streams are traversed.  The full span [0, stream length)
-     * also works on non-resumable stages (it degenerates to runInto()).
-     *
-     * Default: loops runSpan() over the slots.  The linear kernel cores
-     * override it to interleave images per weight row.
+     * The result per image never depends on @p count or on the other
+     * images of the cohort — cohort size changes only how often shared
+     * weight streams are traversed.  Thread-safe across distinct
+     * (out, scratch) pairs.
      */
     virtual void runCohortSpan(const CohortSlot *slots, std::size_t count,
-                               std::size_t begin, std::size_t end) const;
+                               std::size_t begin, std::size_t end) const = 0;
+
+    /** runCohortSpan() over one image: cycles [@p begin, @p end). */
+    void runSpan(const sc::StreamMatrix &in, sc::StreamMatrix &out,
+                 StageContext &ctx, StageScratch *scratch, std::size_t begin,
+                 std::size_t end) const;
+
+    /** runSpan() over the stage's whole stream [0, footprint().streamLen). */
+    void runInto(const sc::StreamMatrix &in, sc::StreamMatrix &out,
+                 StageContext &ctx, StageScratch *scratch) const;
 
     /**
      * Terminal stages: normalized confidence margin of the scores

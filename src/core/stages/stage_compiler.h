@@ -41,12 +41,12 @@ namespace aqfpsc::core::stages {
 /**
  * Compiled stage graph plus the graph-level buffer plan.
  *
- * The plan is what workspaces (per-image StageWorkspace, multi-image
- * CohortWorkspace) size their arenas from: stage s of the graph reads
- * ping-pong buffer (s % 2) ^ 1 and writes buffer s % 2 (the first stage
- * reads the input matrix), so @ref bufferRows holds the high-water row
- * count of each parity — one sized allocation per buffer per cohort
- * slot, reused across all stages, never reallocated afterwards.
+ * The plan is what workspaces (core::CohortWorkspace, one slot per
+ * image) size their arenas from: stage s of the graph reads ping-pong
+ * buffer (s % 2) ^ 1 and writes buffer s % 2 (the first stage reads the
+ * input matrix), so @ref bufferRows holds the high-water row count of
+ * each parity — one sized allocation per buffer per cohort slot, reused
+ * across all stages, never reallocated afterwards.
  */
 struct ExecutionPlan
 {
@@ -61,7 +61,7 @@ struct ExecutionPlan
      *  buffer from (bufferRows, bufferLen) of its parity. */
     std::size_t bufferLen[2] = {0, 0};
 
-    /** True when every stage supports checkpointed (runSpan) execution. */
+    /** True when every stage supports multi-span (resumable) execution. */
     bool resumable = true;
 
     /**

@@ -1,10 +1,11 @@
 /**
  * @file
- * Per-thread inference arenas: all mutable buffers a worker needs to
- * push images through a compiled stage graph without allocating.
+ * Per-thread inference arena: all mutable buffers a worker needs to push
+ * images through a compiled stage graph without allocating.
  *
- * Both arenas are sized up front from the engine's ExecutionPlan (the
- * graph-level buffer plan compileNetwork emits): each image slot owns
+ * There is one workspace type.  A CohortWorkspace holds capacity() image
+ * slots, sized up front from the engine's ExecutionPlan (the graph-level
+ * buffer plan compileNetwork emits); each slot owns
  *
  *  - the SNG-encoded input stream matrix,
  *  - two ping-pong activation StreamMatrix buffers (stage s reads what
@@ -12,12 +13,12 @@
  *    plan's per-parity high-water marks, so even the first image
  *    allocates nothing for them),
  *  - one StageScratch per stage (column counters, feedback units, ...),
- *  - a reusable StageContext.
+ *  - a reusable StageContext,
  *
- * StageWorkspace is the single-image arena of the per-image entry
- * points; CohortWorkspace holds capacity() slots plus the slot-view
- * table stage-major cohort execution (ScNetworkEngine::inferCohort /
- * inferAdaptiveCohort) threads through ScStage::runCohortSpan.
+ * plus the slot-view table the engine loop threads through
+ * ScStage::runCohortSpan.  StageWorkspace, the arena of the single-image
+ * entry points, is the same type: a CohortWorkspace built without a
+ * capacity has one slot.
  *
  * Thread safety: an arena is NOT thread-safe — one arena per worker
  * thread (core::BatchRunner and core::InferenceServer construct exactly
@@ -37,42 +38,16 @@
 #include <memory>
 #include <vector>
 
+#include "core/sc_engine.h"
 #include "core/stages/stage.h"
 #include "sc/stream_matrix.h"
 
 namespace aqfpsc::core {
 
-class ScNetworkEngine;
-
-/** Reusable per-worker buffers of one engine's single-image loop. */
-class StageWorkspace
-{
-  public:
-    /** Build scratch for every stage of @p engine and pre-size the
-     *  ping-pong buffers from the execution plan.
-     *  @param engine Must outlive the workspace. */
-    explicit StageWorkspace(const ScNetworkEngine &engine);
-
-    StageWorkspace(const StageWorkspace &) = delete;
-    StageWorkspace &operator=(const StageWorkspace &) = delete;
-
-    /** The engine this workspace serves. */
-    const ScNetworkEngine &engine() const { return engine_; }
-
-  private:
-    friend class ScNetworkEngine;
-
-    const ScNetworkEngine &engine_;
-    sc::StreamMatrix input_;            ///< per-image SNG input streams
-    sc::StreamMatrix pingPong_[2];      ///< stage activation buffers
-    std::vector<std::unique_ptr<StageScratch>> scratch_; ///< per stage
-    StageContext ctx_;                  ///< reused per-image context
-};
-
 /**
- * Per-worker arena of stage-major cohort execution: capacity() image
- * slots, each a full single-image arena (input + ping-pong buffers +
- * per-stage scratch + context), built once from the execution plan.
+ * Per-worker arena of the engine loop: capacity() image slots, each a
+ * full single-image arena (input + ping-pong buffers + per-stage scratch
+ * + context), built once from the execution plan.
  */
 class CohortWorkspace
 {
@@ -81,7 +56,8 @@ class CohortWorkspace
      * @param engine Must outlive the workspace.
      * @param capacity Image slots, clamped to [1, kMaxCohortImages].
      */
-    CohortWorkspace(const ScNetworkEngine &engine, std::size_t capacity);
+    explicit CohortWorkspace(const ScNetworkEngine &engine,
+                             std::size_t capacity = 1);
 
     CohortWorkspace(const CohortWorkspace &) = delete;
     CohortWorkspace &operator=(const CohortWorkspace &) = delete;
@@ -89,7 +65,7 @@ class CohortWorkspace
     /** The engine this workspace serves. */
     const ScNetworkEngine &engine() const { return engine_; }
 
-    /** Largest cohort one inferCohort() call may execute. */
+    /** Largest cohort one engine call may execute. */
     std::size_t capacity() const { return slots_.size(); }
 
   private:
@@ -108,7 +84,7 @@ class CohortWorkspace
     std::vector<Slot> slots_;
     /** Per-stage slot views, rebuilt per dispatch (capacity() entries). */
     std::vector<CohortSlot> views_;
-    /** Active slot indices of an adaptive cohort (in-place compaction). */
+    /** Active slot indices of a run (in-place compaction on exit). */
     std::vector<std::size_t> active_;
 };
 

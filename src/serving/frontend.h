@@ -75,9 +75,10 @@
  *    TenantConfig::timeoutSeconds > 0 each request carries a hard
  *    deadline; expiry fails it with StatusError{Timeout} at pickup or
  *    mid-run at the next adaptive checkpoint block (non-adaptive
- *    tenants on resumable backends are served through the
- *    exitMargin=infinity adaptive path — bit-identical to full-length
- *    inference — so their runs are cancellable too).  A cancelled
+ *    tenants on resumable backends are served under the engine's
+ *    full-length policy in 256-cycle blocks — bit-identical to
+ *    full-length inference — so their runs are cancellable too).  A
+ *    cancelled
  *    request frees its worker; it never wedges the pool.
  *  - **Bounded retry with backoff.**  Transient failures (a worker
  *    crash, a throwing serve path) requeue the request at the front of
@@ -430,12 +431,12 @@ class ServingFrontend
         const core::ScNetworkEngine *engine = nullptr;
         std::deque<Request> queue; ///< invariant: ascending request id
         double pass = 0.0; ///< WeightedFair virtual finish time
-        /** Non-adaptive tenants on resumable backends run through the
-         *  adaptive path under this exitMargin=infinity policy
-         *  (bit-identical to full-length inference) so their runs are
-         *  cancellable at checkpoint granularity. */
-        bool cancellable = false;
-        core::AdaptivePolicy fullLengthPolicy;
+        /** The base policy of every batch, chosen at set-up: cfg.policy
+         *  for adaptive tenants, else the engine's full-length policy
+         *  (exitMargin = infinity, bit-identical to full-length
+         *  inference; 256-cycle blocks on resumable backends so runs
+         *  are cancellable at checkpoint granularity). */
+        core::AdaptivePolicy policy;
 
         // Stats (under the front end's mutex_).
         std::uint64_t submitted = 0;
@@ -490,7 +491,6 @@ class ServingFrontend
         std::vector<Request> expired;
         core::AdaptivePolicy policy;
         bool adaptive = false;
-        bool cancellable = false;
         bool shed = false;
         /** Requests[0, firstPending) are fulfilled/disposed; the crash
          *  recovery path requeues the rest. */

@@ -7,6 +7,7 @@
  */
 
 #include <limits>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -15,6 +16,7 @@
 
 #include "core/model_zoo.h"
 #include "core/session.h"
+#include "core/stages/stage.h"
 #include "core/workspace.h"
 #include "data/digits.h"
 
@@ -279,6 +281,43 @@ TEST(AdaptiveInference, FloatRefIsRejectedWithDiagnostic)
     EXPECT_TRUE(makeSession("aqfp-sorter", 128)
                     .engine()
                     .supportsAdaptive(nullptr));
+}
+
+/**
+ * A non-resumable stage executes only full spans — from cycle 0 over its
+ * whole input — and a partial span is a logic error through both the
+ * single-image helper and the cohort entry point.  A single-block policy
+ * is a full span, so it runs on float-ref like full-length inference.
+ */
+TEST(AdaptiveInference, FloatRefPartialSpanIsLogicError)
+{
+    const InferenceSession session = makeSession("float-ref", 128);
+    const ScNetworkEngine &engine = session.engine();
+    const ScStage &stage = engine.stage(0);
+    ASSERT_FALSE(stage.resumable());
+
+    const auto image = testImages(1)[0].image;
+    StageContext ctx;
+    ctx.image = &image;
+    const sc::StreamMatrix empty; // what the engine hands float-ref
+    const sc::StreamMatrix streams(image.size(), 128);
+    sc::StreamMatrix out;
+    const std::unique_ptr<StageScratch> scratch = stage.makeScratch();
+    EXPECT_THROW(stage.runSpan(empty, out, ctx, scratch.get(), 64, 128),
+                 std::logic_error);
+    const CohortSlot late{&empty, &out, &ctx, scratch.get()};
+    EXPECT_THROW(stage.runCohortSpan(&late, 1, 64, 128), std::logic_error);
+    const CohortSlot prefix{&streams, &out, &ctx, scratch.get()};
+    EXPECT_THROW(stage.runCohortSpan(&prefix, 1, 0, 64), std::logic_error);
+    EXPECT_THROW(stage.runSpan(streams, out, ctx, scratch.get(), 0, 64),
+                 std::logic_error);
+
+    AdaptivePolicy single;
+    single.checkpointCycles = 128;
+    const AdaptivePrediction r = engine.inferAdaptive(image, 4, single);
+    EXPECT_EQ(r.prediction.scores, engine.inferIndexed(image, 4).scores);
+    EXPECT_EQ(r.consumedCycles, 128u);
+    EXPECT_FALSE(r.exitedEarly);
 }
 
 /**

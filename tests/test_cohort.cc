@@ -16,11 +16,14 @@
  *  - adaptive early-exit cohorts (in-place compaction) against
  *    per-image inferAdaptive(), in both deterministic and lazy-substream
  *    modes, across thread counts;
- *  - cohort knob validation and workspace capacity clamping.
+ *  - cohort knob validation, workspace capacity clamping, and workspace
+ *    misuse (oversized cohort, another engine's workspace) rejected with
+ *    std::invalid_argument.
  */
 
 #include <cinttypes>
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -215,6 +218,67 @@ TEST(Cohort, WorkspaceCapacityClamped)
     EXPECT_EQ(CohortWorkspace(engine, 5).capacity(), 5u);
     EXPECT_EQ(CohortWorkspace(engine, 100000).capacity(),
               kMaxCohortImages);
+}
+
+/**
+ * Workspace misuse is an error in every build type, not undefined
+ * behaviour: a cohort larger than the workspace's capacity is rejected
+ * before any slot is touched, and the workspace stays usable.
+ */
+TEST(Cohort, CohortBeyondCapacityIsRejected)
+{
+    const auto samples = testImages();
+    const InferenceSession session = makeSession("aqfp-sorter", 64);
+    const ScNetworkEngine &engine = session.engine();
+    const nn::Tensor *images[] = {&samples[0].image, &samples[1].image,
+                                  &samples[2].image};
+    const std::size_t indices[] = {0, 1, 2};
+    CohortWorkspace ws(engine, 2);
+    ScPrediction out[3];
+    try {
+        engine.inferCohort(images, indices, 3, ws, out);
+        FAIL() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find("capacity"), std::string::npos)
+            << e.what();
+    }
+    AdaptivePrediction aout[3];
+    EXPECT_THROW(engine.inferAdaptiveCohort(images, indices, 3, ws,
+                                            AdaptivePolicy{}, aout),
+                 std::invalid_argument);
+
+    engine.inferCohort(images, indices, 2, ws, out);
+    EXPECT_EQ(out[1].scores, engine.inferIndexed(samples[1].image, 1).scores);
+}
+
+/** A workspace is sized from one engine's plan; handing it to another
+ *  engine is rejected on the single-image and cohort paths alike. */
+TEST(Cohort, WorkspaceOfAnotherEngineIsRejected)
+{
+    const auto samples = testImages();
+    const InferenceSession a = makeSession("aqfp-sorter", 64);
+    const InferenceSession b = makeSession("cmos-apc", 64);
+    const nn::Tensor &image = samples[0].image;
+    StageWorkspace ws(b.engine());
+    try {
+        a.engine().inferIndexed(image, 0, ws);
+        FAIL() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find("different engine"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_THROW(a.engine().inferAdaptive(image, 0, ws, AdaptivePolicy{}),
+                 std::invalid_argument);
+    const nn::Tensor *images[] = {&image};
+    const std::size_t indices[] = {0};
+    ScPrediction out[1];
+    EXPECT_THROW(a.engine().inferCohort(images, indices, 1, ws, out),
+                 std::invalid_argument);
+
+    // Its own engine still serves through it.
+    EXPECT_EQ(b.engine().inferIndexed(image, 0, ws).scores,
+              b.engine().inferIndexed(image, 0).scores);
 }
 
 } // namespace

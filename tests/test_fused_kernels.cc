@@ -627,6 +627,18 @@ TEST(StageWorkspace, ReuseIsBitIdentical)
 TEST(StageWorkspace, SteadyStateInferenceDoesNotAllocate)
 {
     const std::vector<nn::Sample> samples = data::generateDigits(2, 7);
+    const nn::Tensor *images[] = {&samples[0].image, &samples[1].image};
+    const std::size_t indices[] = {2, 3};
+    // Heap allocations of the last of three identical calls: the first
+    // two warm buffers, scratch and context to their steady-state sizes.
+    auto steadyAllocations = [](auto &&call) {
+        call();
+        call();
+        const std::size_t before =
+            g_allocations.load(std::memory_order_relaxed);
+        call();
+        return g_allocations.load(std::memory_order_relaxed) - before;
+    };
     for (const char *backend : {"aqfp-sorter", "cmos-apc"}) {
         core::ScEngineConfig cfg;
         cfg.backendName = backend;
@@ -650,6 +662,44 @@ TEST(StageWorkspace, SteadyStateInferenceDoesNotAllocate)
         // traffic allowed is the returned prediction's score vector.
         EXPECT_LE(after - before, 2u) << backend;
         EXPECT_EQ(p.scores.size(), 10u);
+
+        // The cohort entry point at full capacity writes into reused
+        // outputs: nothing is allocated at all.
+        core::CohortWorkspace cohort(engine, 2);
+        core::ScPrediction out[2];
+        EXPECT_EQ(steadyAllocations([&] {
+                      engine.inferCohort(images, indices, 2, cohort, out);
+                  }),
+                  0u)
+            << backend;
+
+        // Adaptive runs under the default (deterministic) policy resume
+        // stage state across 64-cycle checkpoint blocks; 384 cycles give
+        // the default minCycles of 320 room to exit.
+        core::ScEngineConfig longCfg = cfg;
+        longCfg.streamLen = 384;
+        const core::ScNetworkEngine longEngine(core::buildModel("tiny", 2),
+                                               longCfg);
+        const core::AdaptivePolicy policy;
+        ASSERT_TRUE(policy.deterministic);
+        core::StageWorkspace single(longEngine);
+        core::AdaptivePrediction r;
+        EXPECT_LE(steadyAllocations([&] {
+                      r = longEngine.inferAdaptive(samples[0].image, 2,
+                                                   single, policy);
+                  }),
+                  2u)
+            << backend;
+        EXPECT_GT(r.checkpoints, 1u) << backend;
+        core::CohortWorkspace longCohort(longEngine, 2);
+        core::AdaptivePrediction aout[2];
+        EXPECT_EQ(steadyAllocations([&] {
+                      longEngine.inferAdaptiveCohort(images, indices, 2,
+                                                     longCohort, policy,
+                                                     aout);
+                  }),
+                  0u)
+            << backend;
     }
 }
 
