@@ -2,7 +2,7 @@
  * @file
  * Adaptive early-exit serving: the accuracy-vs-average-stream-length
  * trade-off the paper's stream-length evaluation is built around, plus
- * serving latency through the micro-batching InferenceServer.
+ * serving latency through the micro-batching serving::ServingFrontend.
  *
  * A tiny-zoo model is trained on the synthetic digit task, then
  * evaluated (1) non-adaptively at the full stream length — the
@@ -10,8 +10,9 @@
  * row reporting the mean consumed cycles (the hardware would simply
  * stop clocking the SC pipeline there), the cycle-reduction factor vs.
  * the full length, and the accuracy delta.  Finally the default-margin
- * policy is served through core::InferenceServer to measure end-to-end
- * request latency percentiles (queue + service) under micro-batching.
+ * policy is served through a one-tenant serving::ServingFrontend to
+ * measure end-to-end request latency percentiles (queue + service)
+ * under micro-batching.
  *
  * Results go to BENCH_adaptive_serving.json (build-stamped via
  * bench_util.h); the committed reference lives in reports/.  The
@@ -42,9 +43,9 @@
 
 #include "bench_util.h"
 #include "core/model_zoo.h"
-#include "core/server.h"
 #include "core/session.h"
 #include "data/digits.h"
+#include "serving/frontend.h"
 
 namespace {
 
@@ -128,7 +129,12 @@ main(int argc, char **argv)
     opts.streamLen = static_cast<std::size_t>(stream_len);
     opts.adaptive.checkpointCycles =
         static_cast<std::size_t>(checkpoint);
-    const core::InferenceSession session(std::move(net), opts);
+    // The front end owns the model's session; the baseline and the
+    // sweep run on it directly, the serving section through its queue.
+    serving::ServingFrontend frontend(
+        {.workers = workers, .startPaused = true});
+    frontend.addModel("tiny", std::move(net), opts);
+    const core::InferenceSession &session = frontend.model("tiny");
 
     // ---- Baseline: full-length non-adaptive inference. ----
     session.evaluate(test, {.limit = 1}); // compile + warm
@@ -169,31 +175,33 @@ main(int argc, char **argv)
                        .set("images_per_sec", a.stats.imagesPerSec));
     }
 
-    // ---- Serving latency through the micro-batching server. ----
-    core::ServerOptions sopts;
-    sopts.workers = workers;
-    sopts.adaptive = true;
-    sopts.policy.checkpointCycles =
-        static_cast<std::size_t>(checkpoint);
-    sopts.policy.minCycles = static_cast<std::size_t>(min_cycles);
-    sopts.policy.exitMargin = 0.125;
-    sopts.backend = backend;
+    // ---- Serving latency through the micro-batching front end. ----
+    serving::TenantConfig tenant;
+    tenant.name = "t";
+    tenant.model = "tiny";
+    tenant.backend = backend;
+    tenant.queueCapacity = 256; // the whole closed batch fits
+    tenant.adaptive = true;
+    tenant.policy.checkpointCycles = static_cast<std::size_t>(checkpoint);
+    tenant.policy.minCycles = static_cast<std::size_t>(min_cycles);
+    tenant.policy.exitMargin = 0.125;
+    frontend.addTenant(tenant);
     bench::WallTimer serve_timer;
+    frontend.start();
     std::vector<double> latencies_ms;
-    core::ServerStats sstats;
     {
-        core::InferenceServer server(session, sopts);
-        std::vector<std::future<core::ServedPrediction>> futures;
+        std::vector<std::future<serving::ServedResult>> futures;
         futures.reserve(test.size());
         for (const auto &s : test)
-            futures.push_back(server.submit(s.image));
+            futures.push_back(frontend.submit("t", s.image));
         for (auto &f : futures) {
-            const core::ServedPrediction r = f.get();
+            const serving::ServedResult r = f.get();
             latencies_ms.push_back(
                 (r.queueSeconds + r.serviceSeconds) * 1000.0);
         }
-        sstats = server.stats();
+        frontend.shutdown();
     }
+    const serving::TenantStats sstats = frontend.tenantStats("t");
     const double serve_wall = serve_timer.seconds();
     const double p50 = percentile(latencies_ms, 0.50);
     const double p90 = percentile(latencies_ms, 0.90);
@@ -221,7 +229,7 @@ main(int argc, char **argv)
             .set("serving",
                  bench::Json::object()
                      .set("workers", workers)
-                     .set("exit_margin", sopts.policy.exitMargin)
+                     .set("exit_margin", tenant.policy.exitMargin)
                      .set("min_cycles", min_cycles)
                      .set("latency_ms_p50", p50)
                      .set("latency_ms_p90", p90)

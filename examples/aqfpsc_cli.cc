@@ -30,24 +30,23 @@
  *       --stage-lens value.
  *   infer  --model-file <file> [--backend NAME] [--index I] [...]
  *       Load an artifact and print one image's per-class scores.
- *   serve  --model-file <file> [--workers W] [--queue-cap Q]
- *          [--max-batch B] [--adaptive ...] [--images N]
- *       Spin up the async micro-batching InferenceServer, push the test
- *       set through it, and report latency percentiles + server stats
- *       (queue-depth high-water mark, queue/service latency histograms).
- *   serve-multi  (--model-file <file> | --model <zoo>)
+ *   serve | serve-multi  (--model-file <file> | --model <zoo>)
  *          [--policy fifo|priority|edf|fair] [--workers W]
- *          [--max-batch B] [--images N] [--deadline-ms D] [--shed]
- *          [--tenant SPEC ...]
- *       Spin up the multi-tenant serving::ServingFrontend and push
- *       --images requests per tenant through it.  Each --tenant SPEC is
+ *          [--max-batch B] [--queue-cap Q] [--images N]
+ *          [--deadline-ms D] [--shed] [--timeout-ms T] [--retries R]
+ *          [--adaptive ...] [--tenant SPEC ...]
+ *       Spin up the serving::ServingFrontend and push --images requests
+ *       per tenant through its blocking submit() (a full queue applies
+ *       backpressure, it never drops a request).  Each --tenant SPEC is
  *       comma-separated: a name followed by key=value or bare-flag
  *       tokens — weight=W, priority=P, deadline-ms=D, queue-cap=Q,
- *       backend=NAME, margin=F, min-cycles=M, adaptive, shed.  With no
- *       --tenant, two equal-weight tenants "a" and "b" are served.
- *       --deadline-ms/--shed set defaults any SPEC may override.
- *       Prints per-tenant completion/reject/shed/deadline counters and
- *       latency percentiles.
+ *       backend=NAME, margin=F, min-cycles=M, timeout-ms=T, retries=R,
+ *       adaptive, shed.  The two commands differ only when no --tenant
+ *       is given: serve serves one tenant "default", serve-multi two
+ *       equal-weight tenants "a" and "b".  The top-level flags set the
+ *       defaults any SPEC may override.  Prints per-tenant completion/
+ *       failure/shed/deadline counters, accuracy, latency percentiles,
+ *       micro-batch size, queue high-water and latency histograms.
  *   backends   List the BackendRegistry names.
  *   models     List the model_zoo names.
  *
@@ -71,7 +70,6 @@
 #include "core/hardware_report.h"
 #include "core/model_zoo.h"
 #include "core/precision_tuner.h"
-#include "core/server.h"
 #include "core/session.h"
 #include "data/digits.h"
 #include "serving/frontend.h"
@@ -105,17 +103,13 @@ struct Args
     std::size_t minStageLen = 64; ///< shortest per-stage length tried
     int passes = 8;               ///< coordinate-descent pass cap
     bool adaptive = false; ///< eval/serve: early-exit mode
-    core::ServerOptions server; ///< serve: worker/queue/batch knobs
 
-    // serve / serve-multi robustness knobs
-    double timeoutMs = 0.0; ///< hard per-request budget (0 = none)
-    int retries = 0;        ///< transient-failure retry budget
-
-    // serve-multi
+    // serve / serve-multi
+    serving::FrontendOptions frontend; ///< --workers/--max-batch/--policy
+    /** Defaults every tenant starts from: --queue-cap, --deadline-ms,
+     *  --timeout-ms, --retries, --shed. */
+    serving::TenantConfig tenant;
     std::vector<std::string> tenants; ///< --tenant specs, in order
-    std::string policy = "fifo";      ///< scheduler policy name
-    double deadlineMs = 0.0;          ///< default per-tenant budget
-    bool shed = false;                ///< default shed-before-reject
 };
 
 void
@@ -135,13 +129,11 @@ usage()
         "        [--min-stage-len N] [--passes P] [--threads N] [--quiet]\n"
         "  infer --model-file <file> [--backend NAME] [--index I]\n"
         "        [--stream-len N] [--threads N] [--rng-bits N] [--seed S]\n"
-        "  serve --model-file <file> [--workers W] [--queue-cap Q]\n"
-        "        [--max-batch B] [--images N] [--timeout-ms T]\n"
-        "        [--adaptive ...]\n"
-        "  serve-multi (--model-file <file> | --model <zoo>)\n"
+        "  serve | serve-multi (--model-file <file> | --model <zoo>)\n"
         "        [--policy fifo|priority|edf|fair] [--workers W]\n"
-        "        [--max-batch B] [--images N] [--deadline-ms D] [--shed]\n"
-        "        [--timeout-ms T] [--retries R]\n"
+        "        [--max-batch B] [--queue-cap Q] [--images N]\n"
+        "        [--deadline-ms D] [--shed] [--timeout-ms T] [--retries R]\n"
+        "        [--adaptive ...]\n"
         "        [--tenant name,weight=W,priority=P,deadline-ms=D,\n"
         "         queue-cap=Q,backend=NAME,margin=F,min-cycles=M,\n"
         "         timeout-ms=T,retries=R,adaptive,shed ...]\n"
@@ -242,24 +234,33 @@ parse(int argc, char **argv, Args &args)
         else if (flag == "--nondet")
             args.engine.adaptive.deterministic = false;
         else if (flag == "--workers")
-            args.server.workers = std::atoi(next());
-        else if (flag == "--queue-cap")
-            args.server.queueCapacity =
-                static_cast<std::size_t>(std::strtoull(next(), nullptr, 10));
+            args.frontend.workers = std::atoi(next());
         else if (flag == "--max-batch")
-            args.server.maxBatch = std::atoi(next());
+            args.frontend.maxBatch = std::atoi(next());
+        else if (flag == "--policy") {
+            const char *name = next();
+            const auto policy = serving::parseSchedPolicy(name);
+            if (!policy) {
+                std::fprintf(stderr,
+                             "error: unknown --policy '%s' (fifo, "
+                             "priority, edf, fair)\n",
+                             name);
+                return false;
+            }
+            args.frontend.policy = *policy;
+        } else if (flag == "--queue-cap")
+            args.tenant.queueCapacity =
+                static_cast<std::size_t>(std::strtoull(next(), nullptr, 10));
         else if (flag == "--timeout-ms")
-            args.timeoutMs = std::atof(next());
+            args.tenant.timeoutSeconds = std::atof(next()) * 1e-3;
         else if (flag == "--retries")
-            args.retries = std::atoi(next());
+            args.tenant.maxRetries = std::atoi(next());
+        else if (flag == "--deadline-ms")
+            args.tenant.deadlineSeconds = std::atof(next()) * 1e-3;
+        else if (flag == "--shed")
+            args.tenant.shed.enabled = true;
         else if (flag == "--tenant")
             args.tenants.push_back(next());
-        else if (flag == "--policy")
-            args.policy = next();
-        else if (flag == "--deadline-ms")
-            args.deadlineMs = std::atof(next());
-        else if (flag == "--shed")
-            args.shed = true;
         else {
             std::fprintf(stderr, "error: unknown flag %s\n", flag.c_str());
             return false;
@@ -281,7 +282,7 @@ lensSpec(const std::vector<std::size_t> &lens)
     return s;
 }
 
-/** One-line plan-cache summary (serve / serve-multi footers). */
+/** One-line plan-cache summary (the serve footer). */
 void
 printPlanCacheLine(const core::PlanCacheStats &pc)
 {
@@ -414,97 +415,6 @@ cmdTune(const Args &args)
     return 0;
 }
 
-int
-cmdServe(const Args &args)
-{
-    if (args.modelFile.empty()) {
-        std::fprintf(stderr, "error: serve needs --model-file <file>\n");
-        return 2;
-    }
-    if (args.images <= 0) {
-        std::fprintf(stderr, "error: serve needs --images >= 1\n");
-        return 2;
-    }
-    const core::InferenceSession session =
-        core::InferenceSession::fromFile(args.modelFile, args.engine);
-    core::ServerOptions sopts = args.server;
-    sopts.adaptive = args.adaptive;
-    sopts.policy = args.engine.adaptive;
-    sopts.timeoutSeconds = args.timeoutMs * 1e-3;
-    core::InferenceServer server(session, sopts);
-    std::printf("serving %s on %s: %d worker(s), queue %zu, "
-                "micro-batch %d%s\n",
-                args.modelFile.c_str(), session.options().backend.c_str(),
-                server.workers(), sopts.queueCapacity, sopts.maxBatch,
-                sopts.adaptive ? ", adaptive early exit" : "");
-
-    const auto test = data::generateDigits(kTestImages, kTestDataSeed);
-    const int n = std::min<int>(args.images, kTestImages);
-    std::vector<std::future<core::ServedPrediction>> futures;
-    futures.reserve(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i)
-        futures.push_back(
-            server.submit(test[static_cast<std::size_t>(i)].image));
-
-    std::vector<double> latency_ms;
-    latency_ms.reserve(futures.size());
-    std::size_t correct = 0;
-    std::size_t served = 0;
-    for (int i = 0; i < n; ++i) {
-        try {
-            const core::ServedPrediction r =
-                futures[static_cast<std::size_t>(i)].get();
-            latency_ms.push_back((r.queueSeconds + r.serviceSeconds) * 1e3);
-            if (r.prediction.label ==
-                test[static_cast<std::size_t>(i)].label)
-                ++correct;
-            ++served;
-        } catch (const core::StatusError &e) {
-            // Counted in stats below; a timed-out request is expected
-            // operation under --timeout-ms, not a CLI failure.
-            std::fprintf(stderr, "request %d failed: %s\n", i,
-                         e.what());
-        }
-    }
-    server.shutdown();
-
-    std::sort(latency_ms.begin(), latency_ms.end());
-    auto pct = [&](double q) {
-        if (latency_ms.empty())
-            return 0.0;
-        const std::size_t i = static_cast<std::size_t>(
-            q * static_cast<double>(latency_ms.size() - 1));
-        return latency_ms[i];
-    };
-    const core::ServerStats stats = server.stats();
-    std::printf("served %llu requests: accuracy %.4f, p50 %.1f ms, "
-                "p90 %.1f ms, p99 %.1f ms\n",
-                static_cast<unsigned long long>(stats.completed),
-                served == 0 ? 0.0
-                            : static_cast<double>(correct) /
-                                  static_cast<double>(served),
-                pct(0.50), pct(0.90), pct(0.99));
-    char budget[32];
-    std::snprintf(budget, sizeof budget, "%g ms", args.timeoutMs);
-    std::printf("failed %llu (timed out %llu), timeout budget %s\n",
-                static_cast<unsigned long long>(stats.failed),
-                static_cast<unsigned long long>(stats.timedOut),
-                args.timeoutMs > 0.0 ? budget : "none");
-    std::printf("avg micro-batch %.2f, avg consumed cycles %.0f/%zu, "
-                "early exits %llu\n",
-                stats.avgBatchSize, stats.avgConsumedCycles,
-                session.options().streamLen,
-                static_cast<unsigned long long>(stats.earlyExits));
-    std::printf("queue depth high-water %zu/%zu\n",
-                stats.queueDepthHighWater, sopts.queueCapacity);
-    std::printf("queue latency   %s\n",
-                stats.queueHistogram.summary().c_str());
-    std::printf("service latency %s\n",
-                stats.serviceHistogram.summary().c_str());
-    printPlanCacheLine(core::InferenceSession::planCacheStats());
-    return 0;
-}
-
 /**
  * Parse one --tenant SPEC (comma-separated: name first, then key=value
  * or bare-flag tokens) on top of the defaults in @p cfg.
@@ -566,127 +476,111 @@ parseTenantSpec(const std::string &spec, serving::TenantConfig cfg)
     if (cfg.name.empty())
         throw std::invalid_argument("--tenant '" + spec +
                                     "' must start with a tenant name");
-    // Shedding rides the adaptive path; keep hand-typed specs terse by
-    // implying it and clamping the floors into the valid range.
-    if (cfg.shed.enabled) {
-        cfg.adaptive = true;
-        cfg.shed.marginFloor =
-            std::min(cfg.shed.marginFloor, cfg.policy.exitMargin);
-        cfg.shed.minCyclesFloor =
-            std::min(cfg.shed.minCyclesFloor, cfg.policy.minCycles);
-    }
     return cfg;
 }
 
+/** Shedding rides the adaptive path; keep --shed and hand-typed specs
+ *  terse by implying it and clamping the floors into the valid range. */
+void
+impliedByShed(serving::TenantConfig &cfg)
+{
+    if (!cfg.shed.enabled)
+        return;
+    cfg.adaptive = true;
+    cfg.shed.marginFloor =
+        std::min(cfg.shed.marginFloor, cfg.policy.exitMargin);
+    cfg.shed.minCyclesFloor =
+        std::min(cfg.shed.minCyclesFloor, cfg.policy.minCycles);
+}
+
+/**
+ * serve / serve-multi: one ServingFrontend, one code path.  The only
+ * difference is the tenant list used when no --tenant is given.
+ */
 int
-cmdServeMulti(const Args &args)
+cmdServe(const Args &args, const std::vector<std::string> &defaultTenants)
 {
     if (args.modelFile.empty() && args.model.empty()) {
-        std::fprintf(stderr, "error: serve-multi needs --model-file "
-                             "<file> or --model <zoo>\n");
+        std::fprintf(stderr, "error: %s needs --model-file <file> or "
+                             "--model <zoo>\n",
+                     args.command.c_str());
         return 2;
     }
     if (args.images <= 0) {
-        std::fprintf(stderr, "error: serve-multi needs --images >= 1\n");
-        return 2;
-    }
-    const auto policy = serving::parseSchedPolicy(args.policy);
-    if (!policy) {
-        std::fprintf(stderr,
-                     "error: unknown --policy '%s' (fifo, priority, "
-                     "edf, fair)\n",
-                     args.policy.c_str());
+        std::fprintf(stderr, "error: %s needs --images >= 1\n",
+                     args.command.c_str());
         return 2;
     }
 
-    serving::FrontendOptions fopts;
-    fopts.workers = args.server.workers;
-    fopts.maxBatch = args.server.maxBatch;
-    fopts.policy = *policy;
-    serving::ServingFrontend frontend(fopts);
+    serving::ServingFrontend frontend(args.frontend);
     if (!args.modelFile.empty())
         frontend.addModelFromFile("m", args.modelFile, args.engine);
     else
         frontend.addModelFromZoo("m", args.model, args.engine,
                                  args.trainSeed);
 
-    // Defaults every SPEC starts from (and may override).
-    serving::TenantConfig base;
+    // Defaults every tenant starts from (a SPEC may override them).
+    serving::TenantConfig base = args.tenant;
     base.model = "m";
-    base.deadlineSeconds = args.deadlineMs * 1e-3;
-    base.timeoutSeconds = args.timeoutMs * 1e-3;
-    base.maxRetries = args.retries;
     base.adaptive = args.adaptive;
     base.policy = args.engine.adaptive;
-    if (args.shed) {
-        base.shed.enabled = true;
-        base.adaptive = true;
-        base.shed.marginFloor =
-            std::min(base.shed.marginFloor, base.policy.exitMargin);
-        base.shed.minCyclesFloor =
-            std::min(base.shed.minCyclesFloor, base.policy.minCycles);
-    }
-    std::vector<std::string> names;
+    std::vector<serving::TenantConfig> tenants;
     if (args.tenants.empty()) {
-        for (const char *name : {"a", "b"}) {
-            serving::TenantConfig cfg = base;
-            cfg.name = name;
-            frontend.addTenant(cfg);
-            names.push_back(name);
+        for (const std::string &name : defaultTenants) {
+            tenants.push_back(base);
+            tenants.back().name = name;
         }
     } else {
-        for (const std::string &spec : args.tenants) {
-            const serving::TenantConfig cfg = parseTenantSpec(spec, base);
-            frontend.addTenant(cfg);
-            names.push_back(cfg.name);
-        }
+        for (const std::string &spec : args.tenants)
+            tenants.push_back(parseTenantSpec(spec, base));
+    }
+    for (serving::TenantConfig &cfg : tenants) {
+        impliedByShed(cfg);
+        frontend.addTenant(cfg);
     }
     frontend.start();
-    std::printf("serving %zu tenant(s) on '%s', policy %s, %d worker(s), "
-                "micro-batch %d, %d request(s)/tenant\n",
-                names.size(),
+    const std::size_t streamLen = frontend.model("m").options().streamLen;
+    std::printf("serving %zu tenant(s) on '%s' (%s, N=%zu), policy %s, "
+                "%d worker(s), micro-batch %d, %d request(s)/tenant\n",
+                tenants.size(),
                 args.modelFile.empty() ? args.model.c_str()
                                        : args.modelFile.c_str(),
-                serving::schedPolicyName(*policy), frontend.workers(),
-                fopts.maxBatch, args.images);
+                frontend.model("m").options().backend.c_str(), streamLen,
+                serving::schedPolicyName(args.frontend.policy),
+                frontend.workers(), args.frontend.maxBatch, args.images);
 
     // Push --images requests per tenant, interleaved round-robin, via
-    // the non-blocking admission path; full queues count as rejects.
+    // the blocking submit(): a full queue waits for a worker to pop, so
+    // every request is served (or fails through its future).
     const auto test = data::generateDigits(kTestImages, kTestDataSeed);
     struct Pending
     {
         std::size_t tenant;
-        int image;
+        std::size_t image;
         std::future<serving::ServedResult> future;
     };
     std::vector<Pending> pending;
-    pending.reserve(names.size() * static_cast<std::size_t>(args.images));
+    pending.reserve(tenants.size() * static_cast<std::size_t>(args.images));
     for (int i = 0; i < args.images; ++i) {
-        const auto &image =
-            test[static_cast<std::size_t>(i) % test.size()].image;
-        for (std::size_t t = 0; t < names.size(); ++t) {
-            auto f = frontend.trySubmit(names[t], image);
-            if (f)
-                pending.push_back(
-                    {t, i % static_cast<int>(test.size()), std::move(*f)});
-        }
+        const std::size_t image = static_cast<std::size_t>(i) % test.size();
+        for (std::size_t t = 0; t < tenants.size(); ++t)
+            pending.push_back(
+                {t, image,
+                 frontend.submit(tenants[t].name, test[image].image)});
     }
 
-    std::vector<std::vector<double>> latency_ms(names.size());
-    std::vector<std::size_t> correct(names.size(), 0);
-    std::vector<std::size_t> got(names.size(), 0);
+    std::vector<std::vector<double>> latency_ms(tenants.size());
+    std::vector<std::size_t> correct(tenants.size(), 0);
     for (Pending &p : pending) {
         try {
             const serving::ServedResult r = p.future.get();
             latency_ms[p.tenant].push_back(
                 (r.queueSeconds + r.serviceSeconds) * 1e3);
-            if (r.prediction.label ==
-                test[static_cast<std::size_t>(p.image)].label)
+            if (r.prediction.label == test[p.image].label)
                 ++correct[p.tenant];
-            ++got[p.tenant];
         } catch (const core::StatusError &) {
-            // Timeouts/quarantines under load are expected operation;
-            // the per-tenant counters below report them.
+            // Timeouts/quarantines are expected operation under
+            // --timeout-ms / --retries; the counters below report them.
         }
     }
     // Snapshot before shutdown: workersAlive reflects the serving pool,
@@ -694,8 +588,9 @@ cmdServeMulti(const Args &args)
     const serving::HealthSnapshot health = frontend.health();
     frontend.shutdown();
 
-    for (std::size_t t = 0; t < names.size(); ++t) {
-        const serving::TenantStats stats = frontend.tenantStats(names[t]);
+    for (std::size_t t = 0; t < tenants.size(); ++t) {
+        const serving::TenantConfig &cfg = tenants[t];
+        const serving::TenantStats stats = frontend.tenantStats(cfg.name);
         auto &lat = latency_ms[t];
         std::sort(lat.begin(), lat.end());
         auto pct = [&](double q) {
@@ -704,29 +599,37 @@ cmdServeMulti(const Args &args)
             return lat[static_cast<std::size_t>(
                 q * static_cast<double>(lat.size() - 1))];
         };
+        char budget[32];
+        std::snprintf(budget, sizeof budget, "%g ms",
+                      cfg.timeoutSeconds * 1e3);
         std::printf(
-            "tenant %-10s completed %llu, rejected %llu, shed %llu, "
-            "deadline-missed %llu\n",
-            names[t].c_str(),
+            "tenant %-10s completed %llu, shed %llu, deadline-missed "
+            "%llu%s\n",
+            cfg.name.c_str(),
             static_cast<unsigned long long>(stats.completed),
-            static_cast<unsigned long long>(stats.rejected),
             static_cast<unsigned long long>(stats.shedServed),
-            static_cast<unsigned long long>(stats.deadlineMissed));
+            static_cast<unsigned long long>(stats.deadlineMissed),
+            cfg.adaptive ? ", adaptive early exit" : "");
         std::printf(
-            "  failed %llu (timed out %llu, quarantined %llu), "
-            "retried %llu\n",
+            "  failed %llu (timed out %llu, quarantined %llu), retried "
+            "%llu, timeout budget %s\n",
             static_cast<unsigned long long>(stats.failed),
             static_cast<unsigned long long>(stats.timedOut),
             static_cast<unsigned long long>(stats.quarantined),
-            static_cast<unsigned long long>(stats.retried));
-        std::printf(
-            "  accuracy %.4f, p50 %.1f ms, p99 %.1f ms, avg cycles "
-            "%.0f, queue high-water %zu\n",
-            got[t] == 0 ? 0.0
-                        : static_cast<double>(correct[t]) /
-                              static_cast<double>(got[t]),
-            pct(0.50), pct(0.99), stats.avgConsumedCycles,
-            stats.queueDepthHighWater);
+            static_cast<unsigned long long>(stats.retried),
+            cfg.timeoutSeconds > 0.0 ? budget : "none");
+        std::printf("  accuracy %.4f, p50 %.1f ms, p90 %.1f ms, p99 %.1f "
+                    "ms\n",
+                    lat.empty() ? 0.0
+                                : static_cast<double>(correct[t]) /
+                                      static_cast<double>(lat.size()),
+                    pct(0.50), pct(0.90), pct(0.99));
+        std::printf("  avg micro-batch %.2f, avg consumed cycles %.0f/%zu, "
+                    "early exits %llu\n",
+                    stats.avgBatchSize, stats.avgConsumedCycles, streamLen,
+                    static_cast<unsigned long long>(stats.earlyExits));
+        std::printf("  queue depth high-water %zu/%zu\n",
+                    stats.queueDepthHighWater, cfg.queueCapacity);
         std::printf("  queue latency   %s\n",
                     stats.queueHistogram.summary().c_str());
         std::printf("  service latency %s\n",
@@ -808,9 +711,9 @@ main(int argc, char **argv)
         if (args.command == "infer")
             return cmdInfer(args);
         if (args.command == "serve")
-            return cmdServe(args);
+            return cmdServe(args, {"default"});
         if (args.command == "serve-multi")
-            return cmdServeMulti(args);
+            return cmdServe(args, {"a", "b"});
         if (args.command == "backends")
             return cmdBackends();
         if (args.command == "models")

@@ -167,73 +167,41 @@ BatchRunner::runAdaptive(const std::vector<nn::Sample> &samples,
     return predictions;
 }
 
-AdaptiveEvalStats
-BatchRunner::evaluateAdaptive(const std::vector<nn::Sample> &samples,
-                              const AdaptivePolicy &policy, int limit,
-                              bool progress) const
+namespace {
+
+const ScPrediction &
+predictionOf(const ScPrediction &p)
 {
-    const auto start = std::chrono::steady_clock::now();
-    const std::vector<AdaptivePrediction> predictions =
-        runAdaptive(samples, policy, limit, progress);
-    const auto stop = std::chrono::steady_clock::now();
-
-    AdaptiveEvalStats result;
-    result.stats.images = predictions.size();
-    result.stats.wallSeconds =
-        std::chrono::duration<double>(stop - start).count();
-    if (predictions.empty())
-        return result;
-
-    std::size_t correct = 0;
-    std::size_t cycles = 0;
-    for (std::size_t i = 0; i < predictions.size(); ++i) {
-        if (predictions[i].prediction.label == samples[i].label)
-            ++correct;
-        cycles += predictions[i].consumedCycles;
-        if (predictions[i].exitedEarly)
-            ++result.earlyExits;
-    }
-    result.stats.accuracy = static_cast<double>(correct) /
-                            static_cast<double>(predictions.size());
-    result.stats.imagesPerSec =
-        result.stats.wallSeconds > 0.0
-            ? static_cast<double>(predictions.size()) /
-                  result.stats.wallSeconds
-            : 0.0;
-    result.avgConsumedCycles =
-        static_cast<double>(cycles) /
-        static_cast<double>(predictions.size());
-    if (progress) {
-        std::printf("accuracy %.4f (%zu images, %.2f img/s, %d threads, "
-                    "avg %.0f/%zu cycles, %zu early exits)\n",
-                    result.stats.accuracy, result.stats.images,
-                    result.stats.imagesPerSec, threads_,
-                    result.avgConsumedCycles,
-                    engine_.plan().fullRunCycles(), result.earlyExits);
-        std::fflush(stdout);
-    }
-    return result;
+    return p;
 }
 
-ScEvalStats
-BatchRunner::evaluate(const std::vector<nn::Sample> &samples, int limit,
-                      bool progress) const
+const ScPrediction &
+predictionOf(const AdaptivePrediction &p)
+{
+    return p.prediction;
+}
+
+/**
+ * Time @p predict (returns one prediction per image, in sample order)
+ * and score its labels against @p samples into @p stats.
+ * @return The predictions, for per-mode accounting on top.
+ */
+template <typename Predict>
+auto
+timedScore(const std::vector<nn::Sample> &samples, Predict &&predict,
+           ScEvalStats &stats)
 {
     const auto start = std::chrono::steady_clock::now();
-    const std::vector<ScPrediction> predictions =
-        run(samples, limit, progress);
+    auto predictions = predict();
     const auto stop = std::chrono::steady_clock::now();
-
-    ScEvalStats stats;
     stats.images = predictions.size();
-    stats.wallSeconds =
-        std::chrono::duration<double>(stop - start).count();
+    stats.wallSeconds = std::chrono::duration<double>(stop - start).count();
     if (stats.images == 0)
-        return stats;
+        return predictions;
 
     std::size_t correct = 0;
     for (std::size_t i = 0; i < predictions.size(); ++i) {
-        if (predictions[i].label == samples[i].label)
+        if (predictionOf(predictions[i]).label == samples[i].label)
             ++correct;
     }
     stats.accuracy = static_cast<double>(correct) /
@@ -242,12 +210,64 @@ BatchRunner::evaluate(const std::vector<nn::Sample> &samples, int limit,
         stats.wallSeconds > 0.0
             ? static_cast<double>(stats.images) / stats.wallSeconds
             : 0.0;
-    if (progress) {
-        std::printf("accuracy %.4f (%zu images, %.2f img/s, %d threads)\n",
-                    stats.accuracy, stats.images, stats.imagesPerSec,
-                    threads_);
-        std::fflush(stdout);
+    return predictions;
+}
+
+/** The closing "accuracy ... (n images, ... img/s, T threads...)" line;
+ *  @p extra is appended inside the parentheses. */
+void
+printAccuracy(const ScEvalStats &stats, int threads, const char *extra)
+{
+    std::printf("accuracy %.4f (%zu images, %.2f img/s, %d threads%s)\n",
+                stats.accuracy, stats.images, stats.imagesPerSec, threads,
+                extra);
+    std::fflush(stdout);
+}
+
+} // namespace
+
+AdaptiveEvalStats
+BatchRunner::evaluateAdaptive(const std::vector<nn::Sample> &samples,
+                              const AdaptivePolicy &policy, int limit,
+                              bool progress) const
+{
+    AdaptiveEvalStats result;
+    const std::vector<AdaptivePrediction> predictions = timedScore(
+        samples,
+        [&] { return runAdaptive(samples, policy, limit, progress); },
+        result.stats);
+    if (predictions.empty())
+        return result;
+
+    std::size_t cycles = 0;
+    for (const AdaptivePrediction &p : predictions) {
+        cycles += p.consumedCycles;
+        if (p.exitedEarly)
+            ++result.earlyExits;
     }
+    result.avgConsumedCycles =
+        static_cast<double>(cycles) /
+        static_cast<double>(predictions.size());
+    if (progress) {
+        char extra[96];
+        std::snprintf(extra, sizeof extra,
+                      ", avg %.0f/%zu cycles, %zu early exits",
+                      result.avgConsumedCycles,
+                      engine_.plan().fullRunCycles(), result.earlyExits);
+        printAccuracy(result.stats, threads_, extra);
+    }
+    return result;
+}
+
+ScEvalStats
+BatchRunner::evaluate(const std::vector<nn::Sample> &samples, int limit,
+                      bool progress) const
+{
+    ScEvalStats stats;
+    const std::vector<ScPrediction> predictions = timedScore(
+        samples, [&] { return run(samples, limit, progress); }, stats);
+    if (progress && !predictions.empty())
+        printAccuracy(stats, threads_, "");
     return stats;
 }
 

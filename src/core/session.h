@@ -81,7 +81,7 @@ struct EngineOptions
     int cohort = 1;
     bool approximateApc = false;         ///< cmos-apc: OR-pair first layer
     /** Early-exit policy of the session's adaptive entry points
-     *  (inferAdaptive/evaluateAdaptive, core::InferenceServer);
+     *  (inferAdaptive/evaluateAdaptive);
      *  non-adaptive calls ignore it.  Validated with the rest. */
     AdaptivePolicy adaptive;
 

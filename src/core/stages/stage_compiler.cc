@@ -118,7 +118,8 @@ makePlanSpec(const nn::Network &net, const ScEngineConfig &cfg,
     auto append = [&p](const std::vector<float> &v) {
         p.params.insert(p.params.end(), v.begin(), v.end());
     };
-    std::string arch = "q" + std::to_string(net.quantBits());
+    std::string arch = "q";
+    arch += std::to_string(net.quantBits());
     for (std::size_t li = 0; li < net.layerCount(); ++li) {
         const nn::Layer &l = net.layer(li);
         const nn::LayerSpec s = l.spec();

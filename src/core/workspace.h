@@ -21,9 +21,9 @@
  * capacity has one slot.
  *
  * Thread safety: an arena is NOT thread-safe — one arena per worker
- * thread (core::BatchRunner and core::InferenceServer construct exactly
- * that), at most one inference/cohort through it at a time.  Distinct
- * arenas of one engine run concurrently without restriction.
+ * thread (core::BatchRunner and serving::ServingFrontend construct
+ * exactly that), at most one inference/cohort through it at a time.
+ * Distinct arenas of one engine run concurrently without restriction.
  *
  * Determinism: results never depend on arena reuse, on which arena
  * served an image, or on which slot of a cohort an image occupied —

@@ -438,14 +438,20 @@ ServingFrontend::submit(const std::string &tenant, nn::Tensor image)
 {
     std::future<ServedResult> future;
     {
-        const std::lock_guard<std::mutex> lock(mutex_);
+        std::unique_lock<std::mutex> lock(mutex_);
         Tenant &t = tenantOrThrow(tenant);
+        // Backpressure: running workers will pop and free space.
+        notFull_.wait(lock, [&] {
+            return stopping_ || !workersRunning_ ||
+                   t.queue.size() < t.cfg.queueCapacity;
+        });
         if (stopping_) {
             throw StatusError(
                 StatusCode::Shutdown,
                 "ServingFrontend is shut down: request rejected");
         }
         if (t.queue.size() >= t.cfg.queueCapacity) {
+            // No worker runs yet, so waiting could never end.
             ++t.rejected;
             throw StatusError(
                 StatusCode::Overloaded,
@@ -611,8 +617,11 @@ ServingFrontend::popBatchLocked(std::chrono::steady_clock::time_point now)
         --totalQueued_;
     }
     inFlight_ += batch.requests.size() + batch.expired.size();
-    if (opts_.policy == SchedPolicy::WeightedFair &&
-        !batch.requests.empty()) {
+    if (batch.requests.empty())
+        return batch;
+    ++t.batches;
+    t.batchedImages += batch.requests.size();
+    if (opts_.policy == SchedPolicy::WeightedFair) {
         virtualTime_ = std::max(virtualTime_, t.pass);
         t.pass += static_cast<double>(batch.requests.size()) /
                   t.cfg.weight;
@@ -658,6 +667,9 @@ ServingFrontend::workerLoop(WorkerSlot *slot)
             }
             batch = popBatchLocked(std::chrono::steady_clock::now());
         }
+        // Space freed: wake blocked producers (all of them — several
+        // slots, possibly of several tenants, may have opened).
+        notFull_.notify_all();
         failExpired(batch);
         if (batch.requests.empty())
             continue;
@@ -980,6 +992,7 @@ ServingFrontend::shutdown()
         spawnWorkersLocked();
     }
     notEmpty_.notify_all();
+    notFull_.notify_all();
     const std::lock_guard<std::mutex> join_lock(joinMutex_);
     {
         // Drain: queued AND in-flight both zero.  In-flight failures
@@ -1026,10 +1039,15 @@ ServingFrontend::tenantStats(const std::string &tenant) const
     s.earlyExits = t.earlyExits;
     s.shedServed = t.shedServed;
     s.deadlineMissed = t.deadlineMissed;
+    s.batches = t.batches;
     s.avgConsumedCycles =
         t.completed == 0 ? 0.0
                          : static_cast<double>(t.consumedCycles) /
                                static_cast<double>(t.completed);
+    s.avgBatchSize = t.batches == 0
+                         ? 0.0
+                         : static_cast<double>(t.batchedImages) /
+                               static_cast<double>(t.batches);
     s.queueDepth = t.queue.size();
     s.queueDepthHighWater = t.queueDepthHighWater;
     s.queueHistogram = t.queueHist;

@@ -1,15 +1,16 @@
 /**
  * @file
- * ServingFrontend: the multi-tenant, multi-model serving front end.
+ * ServingFrontend: the serving front end, the one async path from
+ * producers to compiled engines.
  *
- * core::InferenceServer turns ONE session backend into an async
- * service; this subsystem is the production-shaped layer above it: many
- * named models (lazy per-backend engine compile through their
- * InferenceSessions), many tenants with per-tenant bounded queues and
- * admission control, a pluggable scheduler over one shared worker pool,
- * and graceful overload degradation — under load the front end sheds
- * *cycles* (slightly lower SC precision via a tightened early-exit
- * margin) before it sheds *requests*:
+ * It turns named models (lazy per-backend engine compile through their
+ * InferenceSessions) into a request-at-a-time service: many tenants
+ * with per-tenant bounded queues and admission control, a pluggable
+ * scheduler over one shared micro-batching worker pool, and graceful
+ * overload degradation — under load the front end sheds *cycles*
+ * (slightly lower SC precision via a tightened early-exit margin)
+ * before it sheds *requests*.  A single-model service is simply a
+ * front end with one tenant:
  *
  *   serving::ServingFrontend fe({.workers = 2, .policy =
  *                                serving::SchedPolicy::WeightedFair});
@@ -41,8 +42,20 @@
  *    (asserted by tests/test_serving.cc).
  *
  * A worker pick drains up to maxBatch requests from ONE tenant and
- * serves them as a stage-major execution cohort on that tenant's
- * engine (same amortization as core::InferenceServer).
+ * serves them as stage-major execution cohorts on that tenant's engine
+ * from the worker's CohortWorkspace: queue lock traffic is amortized
+ * over the batch, and every stage's weight streams are traversed once
+ * per cohort instead of once per request (TenantStats::avgBatchSize
+ * reports the amortization factor).
+ *
+ * Admission: trySubmit() never blocks — a full tenant queue returns
+ * std::nullopt (open-loop load generators count it as a reject).
+ * submit() is the closed-loop path: while the workers run it blocks on
+ * a full tenant queue until a pop frees space (backpressure), and
+ * throws StatusError{Shutdown} if shutdown begins while it waits.
+ * Before the workers run (startPaused, not yet start()ed) nothing can
+ * drain the queue, so a full-queue submit() throws
+ * StatusError{Overloaded} instead of waiting forever.
  *
  * Shed-before-reject (ShedConfig): each pick computes the tenant's load
  * signal — max(queue depth / queueCapacity, head-of-line wait /
@@ -112,7 +125,7 @@
  * never start()ed (the drain pool is spun up on demand).  Fuzzed under
  * ASan/UBSan in tests/test_serving.cc.
  *
- * Thread safety: submit/trySubmit/stats/tenantStats/accepting from any
+ * Thread safety: submit/trySubmit/tenantStats/accepting from any
  * thread at any time once start() returned; shutdown() from any
  * thread, idempotently.
  */
@@ -208,7 +221,7 @@ struct TenantConfig
     double retryBackoffSeconds = 0.002;
 
     /** Hard bound on queueCapacity (pending requests own their image
-     *  tensors), matching core::ServerOptions::kMaxQueueCapacity. */
+     *  tensors); also the bound on FrontendOptions::maxBatch. */
     static constexpr std::size_t kMaxQueueCapacity = std::size_t{1} << 20;
 
     /** All configuration errors, each actionable; empty means valid. */
@@ -266,7 +279,11 @@ struct ServedResult
     int attempts = 1;
 };
 
-/** Per-tenant counters since construction (racy-read consistent). */
+/**
+ * Per-tenant counters since construction (racy-read consistent).  All
+ * counters are per image, no matter how many requests one cohort
+ * execution served; only batches counts worker pops.
+ */
 struct TenantStats
 {
     std::uint64_t submitted = 0;      ///< accepted into the queue
@@ -279,7 +296,12 @@ struct TenantStats
     std::uint64_t earlyExits = 0;     ///< completed with exitedEarly
     std::uint64_t shedServed = 0;     ///< completed under a tightened policy
     std::uint64_t deadlineMissed = 0; ///< completed past the budget
+    std::uint64_t batches = 0;        ///< worker pops of live requests
     double avgConsumedCycles = 0.0;   ///< mean cycles over completed
+    /** Live requests per pop (batched images / batches): the
+     *  micro-batching and cohort amortization factor, in
+     *  [1, maxBatch]. */
+    double avgBatchSize = 0.0;
     std::size_t queueDepth = 0;       ///< pending right now
     std::size_t queueDepthHighWater = 0;
     core::LatencyHistogram queueHistogram;   ///< submit -> pickup
@@ -370,11 +392,14 @@ class ServingFrontend
     void start();
 
     /**
-     * Enqueue one image for @p tenant (copied into the request).
-     * @throws std::invalid_argument for unknown tenants,
-     *         std::runtime_error when the tenant queue is full or
-     *         shutdown has begun (admission control never blocks —
-     *         callers on the overload path should use trySubmit()).
+     * Enqueue one image for @p tenant (copied into the request).  While
+     * the workers run, blocks as long as the tenant queue is full
+     * (backpressure).
+     * @throws std::invalid_argument for unknown tenants;
+     *         StatusError{Shutdown} once shutdown has begun (also while
+     *         blocked); StatusError{Overloaded} when the queue is full
+     *         and no worker runs yet to drain it.  Callers on the
+     *         overload path should use trySubmit().
      */
     std::future<ServedResult> submit(const std::string &tenant,
                                      nn::Tensor image);
@@ -449,6 +474,8 @@ class ServingFrontend
         std::uint64_t earlyExits = 0;
         std::uint64_t shedServed = 0;
         std::uint64_t deadlineMissed = 0;
+        std::uint64_t batches = 0;
+        std::uint64_t batchedImages = 0;
         std::uint64_t consumedCycles = 0;
         std::size_t queueDepthHighWater = 0;
         core::LatencyHistogram queueHist;
@@ -549,6 +576,7 @@ class ServingFrontend
 
     mutable std::mutex mutex_;
     std::condition_variable notEmpty_;
+    std::condition_variable notFull_;  ///< blocked submit(): space or stop
     std::condition_variable drained_;  ///< shutdown waits for inflight 0
     std::condition_variable watchdogCv_;
     std::map<std::string, std::unique_ptr<core::InferenceSession>> models_;

@@ -20,8 +20,8 @@
  *    monotonicity, stage-count mismatch);
  *  - PrecisionTuner: returns a valid non-increasing word-aligned vector
  *    within the evaluation budget;
- *  - serving: non-adaptive ServedPrediction::consumedCycles reports the
- *    plan's cycle total, not the scalar config fallback.
+ *  - serving: a non-adaptive tenant's ServedResult::consumedCycles
+ *    reports the plan's cycle total, not the scalar config fallback.
  */
 
 #include <cstdio>
@@ -34,10 +34,10 @@
 #include "core/model_zoo.h"
 #include "core/plan_cache.h"
 #include "core/precision_tuner.h"
-#include "core/server.h"
 #include "core/session.h"
 #include "core/stages/stage_compiler.h"
 #include "data/digits.h"
+#include "serving/frontend.h"
 
 namespace aqfpsc::core {
 namespace {
@@ -285,8 +285,9 @@ TEST(MixedPrecision, TunerReturnsValidVectorWithinBudget)
     for (std::size_t s = 0; s < r.stageStreamLens.size(); ++s) {
         EXPECT_EQ(r.stageStreamLens[s] % 64, 0u) << s;
         EXPECT_GE(r.stageStreamLens[s], 64u) << s;
-        if (s > 0)
+        if (s > 0) {
             EXPECT_LE(r.stageStreamLens[s], r.stageStreamLens[s - 1]) << s;
+        }
     }
     // With the budget wide open every stage descends to the floor.
     for (const std::size_t len : r.stageStreamLens)
@@ -324,14 +325,17 @@ TEST(MixedPrecision, ServerReportsPlanCyclesNotScalarConfig)
     // count: the fallback bug this pins down reported streamLen.
     opts.streamLen = 128;
     opts.stageStreamLens = lens;
-    const InferenceSession session(buildTinyCnn(3), opts);
-
-    ServerOptions sopts;
-    sopts.workers = 1;
-    InferenceServer server(session, sopts);
-    std::future<ServedPrediction> f = server.submit(samples[0].image);
-    const ServedPrediction r = f.get();
-    EXPECT_EQ(r.consumedCycles, session.engine().plan().fullRunCycles());
+    serving::ServingFrontend fe({.workers = 1});
+    fe.addModel("m", buildTinyCnn(3), opts);
+    serving::TenantConfig tenant;
+    tenant.name = "t";
+    tenant.model = "m"; // non-adaptive: served under fullLengthPolicy
+    fe.addTenant(tenant);
+    std::future<serving::ServedResult> f = fe.submit("t", samples[0].image);
+    const serving::ServedResult r = f.get();
+    EXPECT_FALSE(r.adaptive);
+    EXPECT_EQ(r.consumedCycles,
+              fe.model("m").engine().plan().fullRunCycles());
     EXPECT_EQ(r.consumedCycles, 128u);
 }
 

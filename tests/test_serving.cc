@@ -4,9 +4,11 @@
  * served results against the engine entry points for the *effective*
  * (possibly shed) policy, scheduling-order guarantees (weighted-fair
  * anti-starvation, strict priority, EDF), shed-before-reject overload
- * degradation, admission control via trySubmit, per-tenant stats
- * accounting, multi-model serving, and a concurrent submit/shutdown
- * fuzz (run under ASan/UBSan in CI, in both SIMD dispatch modes).
+ * degradation, admission control via trySubmit, blocking submit()
+ * backpressure, cohort-aware per-tenant stats accounting, multi-model
+ * serving, destructor drains, and concurrent submit/shutdown fuzzes
+ * over both admission paths (run under ASan/UBSan in CI, in both SIMD
+ * dispatch modes).
  *
  * Scheduling-order tests use FrontendOptions::startPaused: the backlog
  * is enqueued while no worker runs, so the pick sequence after start()
@@ -117,6 +119,21 @@ TEST(TenantConfigValidate, RejectsBadConfigs)
     shedOk.adaptive = true;
     shedOk.shed.enabled = true;
     EXPECT_TRUE(shedOk.validate().empty());
+
+    TenantConfig badPolicy = tenant("t");
+    badPolicy.adaptive = true;
+    badPolicy.policy.checkpointCycles = 63;
+    EXPECT_FALSE(badPolicy.validate().empty());
+    badPolicy.policy.checkpointCycles = 128;
+    EXPECT_TRUE(badPolicy.validate().empty());
+}
+
+TEST(FrontendOptionsValidate, RejectsBadConfigs)
+{
+    EXPECT_TRUE(FrontendOptions{}.validate().empty());
+    EXPECT_FALSE(FrontendOptions{.workers = -1}.validate().empty());
+    EXPECT_FALSE(FrontendOptions{.maxBatch = 0}.validate().empty());
+    EXPECT_THROW(ServingFrontend({.maxBatch = 0}), std::invalid_argument);
 }
 
 TEST(ServingFrontendRegistration, ErrorsAreActionable)
@@ -471,6 +488,200 @@ TEST(ServingFrontend, AdmissionControlRejectsWhenFull)
     EXPECT_DOUBLE_EQ(stats.avgConsumedCycles, 64.0);
 }
 
+/**
+ * A one-tenant front end is a plain async server: requestId is the
+ * submission index, and every result equals what the synchronous paths
+ * compute for that index — BatchRunner's predict() and inferIndexed(i)
+ * for a non-adaptive tenant, inferAdaptive(i, policy) for an adaptive
+ * one — at any worker count and micro-batch size.
+ */
+TEST(ServingFrontend, OneTenantReproducesEngineByIndex)
+{
+    const auto samples = testImages(10);
+    for (const int workers : {1, 3}) {
+        for (const int maxBatch : {1, 4}) {
+            SCOPED_TRACE("workers=" + std::to_string(workers) +
+                         " maxBatch=" + std::to_string(maxBatch));
+            ServingFrontend fe({.workers = workers, .maxBatch = maxBatch});
+            addTinyModel(fe, 256);
+            fe.addTenant(tenant("plain"));
+            TenantConfig adaptive = tenant("adaptive");
+            adaptive.adaptive = true;
+            adaptive.policy.checkpointCycles = 64;
+            adaptive.policy.exitMargin = 0.1;
+            fe.addTenant(adaptive);
+            const core::InferenceSession &session = fe.model("m");
+            const std::vector<core::ScPrediction> reference =
+                session.predict(samples, {});
+
+            // One tenant at a time, so submission index == requestId.
+            std::vector<std::future<ServedResult>> futures;
+            for (const auto &s : samples)
+                futures.push_back(fe.submit("plain", s.image));
+            for (std::size_t i = 0; i < futures.size(); ++i) {
+                const ServedResult r = futures[i].get();
+                EXPECT_EQ(r.requestId, i);
+                EXPECT_EQ(r.prediction.label, reference[i].label);
+                EXPECT_EQ(r.prediction.scores, reference[i].scores);
+                EXPECT_EQ(r.prediction.scores,
+                          session.engine()
+                              .inferIndexed(samples[i].image, i)
+                              .scores);
+                EXPECT_EQ(r.consumedCycles, 256u);
+            }
+            futures.clear();
+            const std::size_t base = samples.size();
+            for (const auto &s : samples)
+                futures.push_back(fe.submit("adaptive", s.image));
+            for (std::size_t i = 0; i < futures.size(); ++i) {
+                const ServedResult r = futures[i].get();
+                EXPECT_EQ(r.requestId, base + i);
+                const core::AdaptivePrediction ref =
+                    session.engine().inferAdaptive(samples[i].image,
+                                                   base + i,
+                                                   adaptive.policy);
+                EXPECT_EQ(r.prediction.scores, ref.prediction.scores);
+                EXPECT_EQ(r.consumedCycles, ref.consumedCycles);
+                EXPECT_EQ(r.exitedEarly, ref.exitedEarly);
+            }
+            for (const char *name : {"plain", "adaptive"}) {
+                const TenantStats stats = fe.tenantStats(name);
+                EXPECT_EQ(stats.submitted, samples.size());
+                EXPECT_EQ(stats.completed, samples.size());
+                EXPECT_EQ(stats.failed, 0u);
+                EXPECT_GE(stats.batches, 1u);
+            }
+        }
+    }
+}
+
+/** Blocking backpressure: with a queue of 2, submit() waits for the
+ *  workers to free space instead of rejecting; every request completes. */
+TEST(ServingFrontend, SubmitBlocksOnFullQueue)
+{
+    const auto samples = testImages(12);
+    ServingFrontend fe({.workers = 2});
+    addTinyModel(fe);
+    TenantConfig cfg = tenant("t");
+    cfg.queueCapacity = 2;
+    fe.addTenant(cfg);
+    std::vector<std::future<ServedResult>> futures;
+    for (const auto &s : samples)
+        futures.push_back(fe.submit("t", s.image)); // blocks when full
+    for (auto &f : futures) {
+        const ServedResult r = f.get();
+        EXPECT_EQ(r.prediction.scores.size(), 10u);
+        EXPECT_GE(r.queueSeconds, 0.0);
+        EXPECT_GT(r.serviceSeconds, 0.0);
+    }
+    const TenantStats stats = fe.tenantStats("t");
+    EXPECT_EQ(stats.completed, samples.size());
+    EXPECT_EQ(stats.rejected, 0u);
+    EXPECT_GE(stats.queueDepthHighWater, 1u);
+    EXPECT_LE(stats.queueDepthHighWater, 2u);
+    EXPECT_EQ(stats.queueHistogram.total(), samples.size());
+    EXPECT_EQ(stats.serviceHistogram.total(), samples.size());
+    // The summary renders something human-shaped, not empty.
+    EXPECT_NE(stats.serviceHistogram.summary().find("p99"),
+              std::string::npos);
+}
+
+/**
+ * Cohort-aware stats accounting: a worker serves a popped micro-batch
+ * as one stage-major cohort, but every counter stays per *image* —
+ * completed counts requests (not cohort executions or pops),
+ * avgConsumedCycles averages per-request cycles, and avgBatchSize is
+ * images per pop.  Pinned through invariants that hold for every
+ * race-permitting pop schedule.
+ */
+TEST(ServingFrontend, CohortAwareStatsAccounting)
+{
+    const auto samples = testImages(10);
+
+    // Non-adaptive: every request consumes exactly the full stream, so
+    // per-image accounting must read streamLen on the nose — a per-pop
+    // (or per-cohort) accounting bug would skew it by the batch size.
+    {
+        ServingFrontend fe({.workers = 1, .maxBatch = 4});
+        addTinyModel(fe, 128);
+        fe.addTenant(tenant("t"));
+        std::vector<std::future<ServedResult>> futures;
+        for (const auto &s : samples)
+            futures.push_back(fe.submit("t", s.image));
+        for (auto &f : futures)
+            f.get();
+        fe.shutdown();
+
+        const TenantStats stats = fe.tenantStats("t");
+        EXPECT_EQ(stats.submitted, samples.size());
+        EXPECT_EQ(stats.completed, samples.size()); // images, not pops
+        EXPECT_EQ(stats.failed, 0u);
+        EXPECT_DOUBLE_EQ(stats.avgConsumedCycles, 128.0);
+        ASSERT_GE(stats.batches, 1u);
+        EXPECT_LE(stats.batches, stats.completed);
+        EXPECT_DOUBLE_EQ(stats.avgBatchSize,
+                         static_cast<double>(stats.completed) /
+                             static_cast<double>(stats.batches));
+        EXPECT_GE(stats.avgBatchSize, 1.0);
+        EXPECT_LE(stats.avgBatchSize, 4.0);
+    }
+
+    // Adaptive: deterministic early exit makes per-image consumed
+    // cycles an exact function of the request id, so the served average
+    // must equal the engine-side mean bit-for-bit.
+    {
+        ServingFrontend fe({.workers = 2, .maxBatch = 4});
+        addTinyModel(fe, 512);
+        TenantConfig cfg = tenant("t");
+        cfg.adaptive = true;
+        cfg.policy.checkpointCycles = 128;
+        cfg.policy.exitMargin = 0.1;
+        cfg.policy.minCycles = 128;
+        fe.addTenant(cfg);
+        std::vector<std::future<ServedResult>> futures;
+        for (const auto &s : samples)
+            futures.push_back(fe.submit("t", s.image));
+        for (auto &f : futures)
+            f.get();
+        fe.shutdown();
+
+        std::uint64_t expectCycles = 0;
+        std::uint64_t expectExits = 0;
+        for (std::size_t i = 0; i < samples.size(); ++i) {
+            const core::AdaptivePrediction ref =
+                fe.model("m").engine().inferAdaptive(samples[i].image, i,
+                                                     cfg.policy);
+            expectCycles += ref.consumedCycles;
+            expectExits += ref.exitedEarly ? 1 : 0;
+        }
+        const TenantStats stats = fe.tenantStats("t");
+        EXPECT_EQ(stats.completed, samples.size());
+        EXPECT_EQ(stats.earlyExits, expectExits);
+        EXPECT_DOUBLE_EQ(stats.avgConsumedCycles,
+                         static_cast<double>(expectCycles) /
+                             static_cast<double>(samples.size()));
+    }
+}
+
+/** Destroying a running front end without an explicit shutdown()
+ *  drains every accepted request. */
+TEST(ServingFrontend, DestructorDrains)
+{
+    const auto samples = testImages(6);
+    std::vector<std::future<ServedResult>> futures;
+    {
+        ServingFrontend fe({.workers = 1});
+        addTinyModel(fe, 64);
+        fe.addTenant(tenant("t"));
+        fe.start();
+        for (const auto &s : samples)
+            futures.push_back(fe.submit("t", s.image));
+        // ~ServingFrontend runs here.
+    }
+    for (auto &f : futures)
+        EXPECT_EQ(f.get().prediction.scores.size(), 10u);
+}
+
 /** shutdown() on a paused, never-started front end still drains every
  *  accepted request (the pool spins up on demand). */
 TEST(ServingFrontend, ShutdownDrainsWithoutStart)
@@ -561,6 +772,80 @@ TEST(ServingFrontend, ConcurrentSubmitShutdownFuzz)
         EXPECT_EQ(sa.completed + sb.completed,
                   static_cast<std::uint64_t>(accepted.load()));
         EXPECT_EQ(sa.failed + sb.failed, 0u);
+        fe.reset(); // destructor path after explicit shutdown
+    }
+}
+
+/**
+ * The blocking-submit fuzz: producers hammer submit() on a queue of 2
+ * (so most of them sit blocked in it) and collect their futures while
+ * another thread shuts the front end down mid-stream.  Every submit()
+ * either throws StatusError{Shutdown} — the blocked ones are woken by
+ * shutdown() — or yields a future that becomes ready with a value.
+ * Accounting balances exactly: accepted == completed, nothing lost,
+ * nothing duplicated.  Run under ASan/UBSan in CI.
+ */
+TEST(ServingFrontend, BlockedSubmitShutdownFuzz)
+{
+    const auto samples = testImages(4);
+    for (int round = 0; round < 3; ++round) {
+        auto fe = std::make_unique<ServingFrontend>(
+            FrontendOptions{.workers = 2, .maxBatch = 3});
+        fe->addModel("m", core::buildTinyCnn(3), engineOpts(64));
+        TenantConfig cfg = tenant("t");
+        cfg.queueCapacity = 2;
+        fe->addTenant(cfg);
+
+        constexpr int kProducers = 4;
+        constexpr int kPerProducer = 12;
+        std::atomic<int> accepted{0};
+        std::atomic<int> rejected{0};
+        std::atomic<int> otherErrors{0};
+        std::atomic<int> served{0};
+        std::vector<std::thread> producers;
+        producers.reserve(kProducers);
+        for (int p = 0; p < kProducers; ++p) {
+            producers.emplace_back([&, p] {
+                std::vector<std::future<ServedResult>> mine;
+                for (int i = 0; i < kPerProducer; ++i) {
+                    try {
+                        mine.push_back(fe->submit(
+                            "t",
+                            samples[static_cast<std::size_t>((p + i) % 4)]
+                                .image));
+                        accepted.fetch_add(1);
+                    } catch (const core::StatusError &e) {
+                        if (e.status().code == core::StatusCode::Shutdown)
+                            rejected.fetch_add(1);
+                        else
+                            otherErrors.fetch_add(1);
+                    }
+                }
+                for (auto &f : mine) {
+                    if (f.get().prediction.scores.size() == 10)
+                        served.fetch_add(1);
+                }
+            });
+        }
+        std::thread stopper([&] {
+            std::this_thread::sleep_for(std::chrono::milliseconds(10));
+            fe->shutdown();
+        });
+        for (auto &t : producers)
+            t.join();
+        stopper.join();
+
+        EXPECT_EQ(otherErrors.load(), 0);
+        EXPECT_EQ(accepted.load() + rejected.load(),
+                  kProducers * kPerProducer);
+        EXPECT_EQ(served.load(), accepted.load());
+        const TenantStats stats = fe->tenantStats("t");
+        EXPECT_EQ(stats.submitted,
+                  static_cast<std::uint64_t>(accepted.load()));
+        EXPECT_EQ(stats.completed,
+                  static_cast<std::uint64_t>(accepted.load()));
+        EXPECT_EQ(stats.failed, 0u);
+        EXPECT_EQ(stats.rejected, 0u); // blocking submit never rejects
         fe.reset(); // destructor path after explicit shutdown
     }
 }
