@@ -121,24 +121,32 @@ runUnfusedNeuron(const KernelInputs &in, sc::ColumnCounts &counts,
     }
 }
 
+/** Fused accumulation: lazy clear + paired addXnor2, input row
+ *  (j + shift) % m against weight row j. */
+void
+accumulateFused(const KernelInputs &in, sc::ColumnCounts &counts,
+                std::size_t shift)
+{
+    const std::size_t wpr = in.x.wordsPerRow();
+    const std::size_t m = in.x.rows();
+    counts.clear();
+    std::size_t j = 0;
+    for (; j + 1 < m; j += 2) {
+        counts.addXnor2(in.x.row((j + shift) % m), in.w.row(j),
+                        in.x.row((j + 1 + shift) % m), in.w.row(j + 1),
+                        wpr);
+    }
+    if (j < m)
+        counts.addXnor(in.x.row((j + shift) % m), in.w.row(j), wpr);
+}
+
 /** Fused path: paired addXnor2 + lazy clear + drive, no intermediates. */
 void
 runFusedNeuron(const KernelInputs &in, sc::ColumnCounts &counts,
                blocks::FeatureFeedbackUnit &unit, std::uint64_t *dst)
 {
-    const std::size_t wpr = in.x.wordsPerRow();
     const int m = static_cast<int>(in.x.rows());
-    counts.clear();
-    int j = 0;
-    for (; j + 1 < m; j += 2) {
-        counts.addXnor2(in.x.row(static_cast<std::size_t>(j)),
-                        in.w.row(static_cast<std::size_t>(j)),
-                        in.x.row(static_cast<std::size_t>(j) + 1),
-                        in.w.row(static_cast<std::size_t>(j) + 1), wpr);
-    }
-    if (j < m)
-        counts.addXnor(in.x.row(static_cast<std::size_t>(j)),
-                       in.w.row(static_cast<std::size_t>(j)), wpr);
+    accumulateFused(in, counts, 0);
     unit.reset(m % 2 == 1 ? m : m + 1);
     counts.drive([&](int c) { return unit.step(c); }, dst);
 }
@@ -180,6 +188,86 @@ BM_NeuronKernelFused(benchmark::State &state)
                             static_cast<long>(len));
 }
 BENCHMARK(BM_NeuronKernelFused)->Arg(9)->Arg(121)->Arg(1569);
+
+// ---------------------------------------------------------------------
+// Row-group drive: the engine's sorter and pooling stages accumulate 64
+// output rows and step them together, one bit per row (tests/
+// test_fused_kernels.cc asserts bit-equality with the per-row units).
+// Items are neuron products x cycles, as in BM_NeuronKernelFused, so
+// the two rates compare per neuron.
+// ---------------------------------------------------------------------
+
+void
+BM_NeuronRowGroupDrive(benchmark::State &state)
+{
+    const int m = static_cast<int>(state.range(0));
+    const std::size_t len = 1024;
+    const std::size_t group = sc::ColumnCounts::kGroupRows;
+    const KernelInputs in(m, len);
+    const int eff_m = m % 2 == 1 ? m : m + 1;
+    std::vector<sc::ColumnCounts> counts(group,
+                                         sc::ColumnCounts(len, m + 2));
+    sc::StreamMatrix out(group, len);
+    std::uint64_t *dst[sc::ColumnCounts::kGroupRows];
+    for (std::size_t j = 0; j < group; ++j)
+        dst[j] = out.row(j);
+    blocks::FeatureFeedbackSlices unit;
+    for (auto _ : state) {
+        unit.clear();
+        for (std::size_t j = 0; j < group; ++j) {
+            // Shifting the inputs by the row gives distinct counts.
+            accumulateFused(in, counts[j], j);
+            unit.reset(static_cast<int>(j), eff_m);
+        }
+        sc::ColumnCounts::driveRowGroup(
+            counts.data(), group, len,
+            [&](const std::uint64_t *c, int planes) {
+                return unit.step(c, planes);
+            },
+            dst);
+        benchmark::DoNotOptimize(out.row(0));
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * m *
+                            static_cast<long>(group * len));
+}
+BENCHMARK(BM_NeuronRowGroupDrive)->Arg(9)->Arg(121)->Arg(1569);
+
+/** 64 pooled pixels: each counts a 2x2 window of distinct rows. */
+void
+BM_NeuronPoolRowGroupDrive(benchmark::State &state)
+{
+    const std::size_t len = static_cast<std::size_t>(state.range(0));
+    const std::size_t group = sc::ColumnCounts::kGroupRows;
+    const KernelInputs in(static_cast<int>(group), len);
+    std::vector<sc::ColumnCounts> counts(group, sc::ColumnCounts(len, 4));
+    sc::StreamMatrix out(group, len);
+    std::uint64_t *dst[sc::ColumnCounts::kGroupRows];
+    for (std::size_t j = 0; j < group; ++j)
+        dst[j] = out.row(j);
+    blocks::PoolingFeedbackSlices unit;
+    const std::size_t wpr = in.x.wordsPerRow();
+    for (auto _ : state) {
+        unit.clear();
+        for (std::size_t j = 0; j < group; ++j) {
+            counts[j].clear();
+            for (std::size_t d = 0; d < 4; ++d)
+                counts[j].addWords(in.x.row((j + d) % group), wpr);
+            unit.reset(static_cast<int>(j), 4);
+        }
+        sc::ColumnCounts::driveRowGroup(
+            counts.data(), group, len,
+            [&](const std::uint64_t *c, int planes) {
+                return unit.step(c, planes);
+            },
+            dst);
+        benchmark::DoNotOptimize(out.row(0));
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<long>(group * len));
+}
+BENCHMARK(BM_NeuronPoolRowGroupDrive)->Arg(1024);
 
 /** The pre-fusion StreamMatrix::fillBipolar loop: one virtual RNG draw
  *  and one compare per cycle.  Shared by the google-benchmark case and

@@ -38,17 +38,21 @@
  *    out = (s >= M)
  *    c'  = out ? s - M : s
  *
- * These counter forms are what the fast functional models and the
- * whole-network SC inference engine execute; unit tests assert bit-exact
- * equivalence against the literal sorted-vector procedure and against
- * the gate-level netlists.
+ * These counter forms are what the fast functional models execute, and
+ * the per-row reference of the bit-sliced forms below
+ * (FeatureFeedbackSlices / PoolingFeedbackSlices: 64 rows per step),
+ * which the whole-network SC inference engine runs; unit tests assert
+ * bit-exact equivalence against the literal sorted-vector procedure and
+ * against the gate-level netlists.
  */
 
 #ifndef AQFPSC_BLOCKS_FEEDBACK_UNIT_H
 #define AQFPSC_BLOCKS_FEEDBACK_UNIT_H
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <cstdint>
 
 namespace aqfpsc::blocks {
 
@@ -166,6 +170,193 @@ class PoolingFeedbackUnit
   private:
     int m_;
     int carry_ = 0;
+};
+
+/**
+ * Bit-sliced state of up to 64 feedback units stepped together: word k
+ * of each operand holds bit k of that quantity for every row (bit j of
+ * a word belongs to row j).  Rows keep their own m, so conv border
+ * windows, which gather fewer products, share a group with interior
+ * ones.  The slice width is bit_width(2 m) of the widest row: the
+ * per-cycle sum s = count + carry never exceeds 2 m.  Unarmed rows hold
+ * m = 0 and produce bits nobody reads.
+ */
+class FeedbackSlices
+{
+  public:
+    /** Rows per group (one bit of a word each). */
+    static constexpr int kRows = 64;
+    /** Widest slice supported: 2 m < 2^kMaxBits. */
+    static constexpr int kMaxBits = 31;
+
+    /** Disarm every row. */
+    void
+    clear()
+    {
+        for (int k = 0; k < width_; ++k)
+            m_[k] = h_[k] = carry_[k] = 0;
+        width_ = 0;
+    }
+
+    /** Ones held in row @p row's feedback vector. */
+    int
+    carry(int row) const
+    {
+        int c = 0;
+        for (int k = 0; k < width_; ++k)
+            c |= static_cast<int>((carry_[k] >> row) & 1ULL) << k;
+        return c;
+    }
+
+    /** Slice width of the armed rows. */
+    int width() const { return width_; }
+
+  protected:
+    /** Arm row @p row with input count @p m, offset @p h and @p carry. */
+    void
+    arm(int row, int m, int h, int carry)
+    {
+        assert(row >= 0 && row < kRows);
+        assert(m >= 1 && 2 * static_cast<long>(m) < (1L << kMaxBits));
+        const int w = std::bit_width(2u * static_cast<unsigned>(m));
+        for (; width_ < w; ++width_)
+            m_[width_] = h_[width_] = carry_[width_] = 0;
+        const std::uint64_t bit = 1ULL << row;
+        for (int k = 0; k < width_; ++k) {
+            m_[k] = (m_[k] & ~bit) | (((m >> k) & 1) ? bit : 0);
+            h_[k] = (h_[k] & ~bit) | (((h >> k) & 1) ? bit : 0);
+            carry_[k] = (carry_[k] & ~bit) | (((carry >> k) & 1) ? bit : 0);
+        }
+    }
+
+    /** s = count + carry, into @p s (width_ slices); @p count has
+     *  @p planes slices, all above them zero. */
+    void
+    sum(const std::uint64_t *count, int planes, std::uint64_t *s) const
+    {
+        assert(planes <= width_);
+        std::uint64_t cy = 0;
+        int k = 0;
+        for (; k < planes; ++k) {
+            const std::uint64_t a = count[k];
+            const std::uint64_t b = carry_[k];
+            const std::uint64_t t = a ^ b;
+            s[k] = t ^ cy;
+            cy = (a & b) | (t & cy);
+        }
+        for (; k < width_; ++k) {
+            s[k] = carry_[k] ^ cy;
+            cy &= carry_[k];
+        }
+    }
+
+    /** Rows where a >= m: the complement of the borrow out of a - m. */
+    std::uint64_t
+    atLeastM(const std::uint64_t *a) const
+    {
+        std::uint64_t br = 0;
+        for (int k = 0; k < width_; ++k)
+            br = (~a[k] & m_[k]) | (~(a[k] ^ m_[k]) & br);
+        return ~br;
+    }
+
+    int width_ = 0;
+    std::uint64_t m_[kMaxBits]{};
+    std::uint64_t h_[kMaxBits]{};
+    std::uint64_t carry_[kMaxBits]{};
+};
+
+/**
+ * FeatureFeedbackUnit for up to 64 rows at once (see FeedbackSlices).
+ * Per row and cycle it computes exactly FeatureFeedbackUnit::step: with
+ * h = (m - 1) / 2,
+ *
+ *    s = count + carry,   out = s >= m,
+ *    carry' = out ? min(s - h - 1, m) : max(s - h, 0)
+ *
+ * (for odd m the scalar clamp binds on one side per branch only), as
+ * one ripple add, one ripple subtract s - h - out, and two ripple
+ * compares.  The arithmetic is exact, so every row's output bits equal
+ * the per-row unit's.
+ */
+class FeatureFeedbackSlices : public FeedbackSlices
+{
+  public:
+    /** Row @p row as FeatureFeedbackUnit(m): carry at the operating
+     *  point (m - 1) / 2. */
+    void reset(int row, int m) { restore(row, m, (m - 1) / 2); }
+
+    /** Row @p row as FeatureFeedbackUnit::restore(m, carry). */
+    void
+    restore(int row, int m, int carry)
+    {
+        assert(m % 2 == 1);
+        assert(carry >= 0 && carry <= m);
+        arm(row, m, (m - 1) / 2, carry);
+    }
+
+    /** One cycle of every row; returns the SO bits (bit j = row j). */
+    std::uint64_t
+    step(const std::uint64_t *count, int planes)
+    {
+        std::uint64_t s[kMaxBits];
+        sum(count, planes, s);
+        const std::uint64_t out = atLeastM(s);
+        // d = s - h - out; a final borrow means d < 0 (only when !out).
+        std::uint64_t d[kMaxBits];
+        std::uint64_t br = out;
+        for (int k = 0; k < width_; ++k) {
+            const std::uint64_t t = s[k] ^ h_[k];
+            d[k] = t ^ br;
+            br = (~s[k] & h_[k]) | (~t & br);
+        }
+        // d > m (only when out): the borrow out of m - d.
+        std::uint64_t gt = 0;
+        for (int k = 0; k < width_; ++k)
+            gt = (~m_[k] & d[k]) | (~(m_[k] ^ d[k]) & gt);
+        for (int k = 0; k < width_; ++k)
+            carry_[k] = ~br & ((gt & m_[k]) | (~gt & d[k]));
+        return out;
+    }
+};
+
+/**
+ * PoolingFeedbackUnit for up to 64 rows at once (see FeedbackSlices):
+ * per row and cycle s = count + carry, out = s >= m,
+ * carry' = out ? s - m : s — one ripple add and one ripple subtract.
+ */
+class PoolingFeedbackSlices : public FeedbackSlices
+{
+  public:
+    /** Row @p row as PoolingFeedbackUnit(m): empty remainder. */
+    void reset(int row, int m) { restore(row, m, 0); }
+
+    /** Row @p row as PoolingFeedbackUnit::restore(m, carry). */
+    void
+    restore(int row, int m, int carry)
+    {
+        assert(carry >= 0 && carry < m);
+        arm(row, m, 0, carry);
+    }
+
+    /** One cycle of every row; returns the SO bits (bit j = row j). */
+    std::uint64_t
+    step(const std::uint64_t *count, int planes)
+    {
+        std::uint64_t s[kMaxBits];
+        sum(count, planes, s);
+        // d = s - m; no final borrow means s >= m.
+        std::uint64_t d[kMaxBits];
+        std::uint64_t br = 0;
+        for (int k = 0; k < width_; ++k) {
+            const std::uint64_t t = s[k] ^ m_[k];
+            d[k] = t ^ br;
+            br = (~s[k] & m_[k]) | (~t & br);
+        }
+        for (int k = 0; k < width_; ++k)
+            carry_[k] = (br & s[k]) | (~br & d[k]);
+        return ~br;
+    }
 };
 
 } // namespace aqfpsc::blocks

@@ -16,7 +16,8 @@
  *    the CMOS approximate counter pairs products in visit order);
  *  - the Policy supplies the accumulation/activation — sorter-majority
  *    feedback (AQFP) or APC + Btanh (CMOS) — together with its resumable
- *    per-row scratch state.
+ *    per-row scratch state and the number of rows it drives per call
+ *    (64 bit-sliced rows for the sorter, one for Btanh).
  *
  * The core has exactly one kernel path, the stage-major cohort span: a
  * single image is a cohort of one, and a cohort of C images walks every
@@ -28,6 +29,7 @@
 #ifndef AQFPSC_CORE_STAGES_STAGE_COMMON_H
 #define AQFPSC_CORE_STAGES_STAGE_COMMON_H
 
+#include <algorithm>
 #include <array>
 #include <cassert>
 #include <cstdint>
@@ -336,11 +338,47 @@ struct OnesScratch final : StageScratch
 };
 
 /**
+ * Drive @p n accumulated rows through the bit-sliced feedback units
+ * @p unit (FeatureFeedbackSlices or PoolingFeedbackSlices) in one
+ * ColumnCounts::driveRowGroup call.  Row j has input count m_of(j); it
+ * starts at the unit's reset point on a stream's first span
+ * (@p begin == 0) and resumes from carries[j] otherwise, and its carry
+ * is stored back into carries[j] for the next span.
+ */
+template <typename Slices, typename MOf>
+void
+driveFeedbackGroup(Slices &unit, const sc::ColumnCounts *counts,
+                   std::size_t n, MOf &&m_of, int *carries,
+                   std::size_t begin, std::size_t end,
+                   std::uint64_t *const dst[])
+{
+    unit.clear();
+    for (std::size_t j = 0; j < n; ++j) {
+        const int row = static_cast<int>(j);
+        if (begin == 0)
+            unit.reset(row, m_of(j));
+        else
+            unit.restore(row, m_of(j), carries[j]);
+    }
+    sc::ColumnCounts::driveRowGroup(
+        counts, n, end - begin,
+        [&](const std::uint64_t *c, int planes) {
+            return unit.step(c, planes);
+        },
+        dst);
+    for (std::size_t j = 0; j < n; ++j)
+        carries[j] = unit.carry(static_cast<int>(j));
+}
+
+/**
  * Accumulation policy of the AQFP sorter-majority linear stages: exact
  * column counts drive the sorter + feedback unit (Algorithm 1, counter
  * form).  The sorter needs an odd input count, so even rows are padded
  * with the neutral stream; the feedback carry is the per-row resumable
- * state.
+ * state.  Rows are driven 64 at a time: the group's counters are
+ * transposed to one bit per row and stepped together in bit-sliced
+ * arithmetic (ColumnCounts::driveRowGroup + FeatureFeedbackSlices),
+ * bit-identical to stepping FeatureFeedbackUnit once per row.
  */
 class SorterMajorityPolicy
 {
@@ -349,16 +387,20 @@ class SorterMajorityPolicy
     static constexpr bool kApproxCapable = false;
     /** Pad even product counts to odd with the neutral stream. */
     static constexpr bool kPadToOdd = true;
+    /** Output rows accumulated before one drive call. */
+    static constexpr std::size_t kGroupRows = sc::ColumnCounts::kGroupRows;
 
     struct Scratch final : StageScratch
     {
         Scratch(std::size_t len, int max_count, std::size_t rows)
-            : counts(len, max_count), unit(1), carries(rows, 0)
+            : counts(kGroupRows, sc::ColumnCounts(len, max_count)),
+              carries(rows, 0)
         {
         }
 
-        sc::ColumnCounts counts;
-        blocks::FeatureFeedbackUnit unit;
+        /** One counter per row of the group being accumulated. */
+        std::vector<sc::ColumnCounts> counts;
+        blocks::FeatureFeedbackSlices unit;
         /** Per-output-row feedback count, resumed across spans. */
         std::vector<int> carries;
     };
@@ -366,17 +408,16 @@ class SorterMajorityPolicy
     /** Interior window + bias + possible neutral pad bounds the counts. */
     static int maxCount(int max_products) { return max_products + 2; }
 
+    /** Drive rows [r0, r0 + n) from counts[0, n) into dst[0, n). */
     void
-    drive(Scratch &ws, std::size_t r, int /*m*/, int eff_m,
-          std::size_t begin, std::size_t end, std::uint64_t *dst) const
+    drive(Scratch &ws, std::size_t r0, std::size_t n, const int * /*m*/,
+          const int *eff_m, std::size_t begin, std::size_t end,
+          std::uint64_t *const dst[]) const
     {
-        if (begin == 0)
-            ws.unit.reset(eff_m);
-        else
-            ws.unit.restore(eff_m, ws.carries[r]);
-        ws.counts.drivePrefix(end - begin,
-                              [&](int c) { return ws.unit.step(c); }, dst);
-        ws.carries[r] = ws.unit.carry();
+        driveFeedbackGroup(
+            ws.unit, ws.counts.data(), n,
+            [&](std::size_t j) { return eff_m[j]; }, &ws.carries[r0], begin,
+            end, dst);
     }
 };
 
@@ -384,13 +425,15 @@ class SorterMajorityPolicy
  * Accumulation policy of the CMOS SC-DCNN linear stages: (approximate)
  * APC column counts drive the Btanh activation counter, whose state is
  * the per-row resumable state.  With @ref approx the OR-pair overcount
- * model rides along (ApproxPairOvercount), folded into the drive.
+ * model rides along (ApproxPairOvercount), folded into the drive.  The
+ * Btanh counter steps one row at a time, so a group is one row.
  */
 class ApcBtanhPolicy
 {
   public:
     static constexpr bool kApproxCapable = true;
     static constexpr bool kPadToOdd = false;
+    static constexpr std::size_t kGroupRows = 1;
 
     /** Model the SC-DCNN first-layer OR-pair approximate counter. */
     bool approx = false;
@@ -398,12 +441,13 @@ class ApcBtanhPolicy
     struct Scratch final : StageScratch
     {
         Scratch(std::size_t len, int max_count, std::size_t rows)
-            : counts(len, max_count), over(len, max_count / 2 + 1),
-              prod((len + 63) / 64), states(rows, 0)
+            : counts(kGroupRows, sc::ColumnCounts(len, max_count)),
+              over(len, max_count / 2 + 1), prod((len + 63) / 64),
+              states(rows, 0)
         {
         }
 
-        sc::ColumnCounts counts;
+        std::vector<sc::ColumnCounts> counts;
         ApproxPairOvercount over;
         /** Product buffer of the approximate-APC path (shared between
          *  the counter and the overcount model: one XNOR per product). */
@@ -414,22 +458,26 @@ class ApcBtanhPolicy
 
     static int maxCount(int max_products) { return max_products + 2; }
 
+    /** Drive row r0 (n == 1) from counts[0] into dst[0]. */
     void
-    drive(Scratch &ws, std::size_t r, int m, int /*eff_m*/,
-          std::size_t begin, std::size_t end, std::uint64_t *dst) const
+    drive(Scratch &ws, std::size_t r0, std::size_t n, const int *m,
+          const int * /*eff_m*/, std::size_t begin, std::size_t end,
+          std::uint64_t *const dst[]) const
     {
+        assert(n == 1);
+        (void)n;
         // s_max / 2 with s_max = 2m; resumed across spans.
-        int state = begin == 0 ? m : ws.states[r];
+        int state = begin == 0 ? m[0] : ws.states[r0];
         auto step = [&](int c) {
-            return baseline::ApcFeatureExtraction::btanhStep(state, c, m,
-                                                             2 * m);
+            return baseline::ApcFeatureExtraction::btanhStep(state, c, m[0],
+                                                             2 * m[0]);
         };
         if (approx)
-            ws.counts.driveWithOvercountPrefix(ws.over.counts(), m,
-                                               end - begin, step, dst);
+            ws.counts[0].driveWithOvercountPrefix(ws.over.counts(), m[0],
+                                                  end - begin, step, dst[0]);
         else
-            ws.counts.drivePrefix(end - begin, step, dst);
-        ws.states[r] = state;
+            ws.counts[0].drivePrefix(end - begin, step, dst[0]);
+        ws.states[r0] = state;
     }
 };
 
@@ -502,84 +550,112 @@ class LinearScStage : public ScStage
         for (std::size_t c = 0; c < count; ++c) {
             ws[c] = static_cast<typename Policy::Scratch *>(
                 slots[c].scratch);
-            cc[c] = &ws[c]->counts;
             in[c] = slots[c].in;
             // Prefix consumption: the input may carry a longer upstream
             // stream; this stage reads only its own len cycles of it.
             assert(in[c]->streamLen() >= len);
             slots[c].out->reset(rows, len);
         }
-        const std::uint64_t *neutral = streams().neutral.row(0) + w0;
 
-        for (std::size_t r = 0; r < rows; ++r) {
-            for (std::size_t c = 0; c < count; ++c)
-                cc[c]->clear();
-            int m = 0;
-            bool exact = true;
-            if constexpr (Policy::kApproxCapable) {
-                if (policy_.approx) {
-                    exact = false;
-                    // One XNOR per product per image, shared by the
-                    // counter and the overcount model; products observed
-                    // in visit order per image.
-                    for (std::size_t c = 0; c < count; ++c)
-                        ws[c]->over.reset();
-                    m = gather_.forEachProduct(
-                        r, [&](std::size_t xr, std::size_t wr) {
-                            const std::uint64_t *w =
-                                streams().weights.row(wr) + w0;
-                            for (std::size_t c = 0; c < count; ++c) {
-                                xnorProduct(ws[c]->prod.data(),
-                                            in[c]->row(xr) + w0, w, sw);
-                                cc[c]->addWords(ws[c]->prod.data(), sw);
-                                ws[c]->over.observe(ws[c]->prod, sw);
-                            }
-                        });
+        // Accumulate a group of rows into the group's counters, then
+        // drive the whole group in one call per image.
+        constexpr std::size_t kGroup = Policy::kGroupRows;
+        for (std::size_t r0 = 0; r0 < rows; r0 += kGroup) {
+            const std::size_t n = std::min(kGroup, rows - r0);
+            int ms[kGroup];
+            int eff_ms[kGroup];
+            for (std::size_t j = 0; j < n; ++j) {
+                for (std::size_t c = 0; c < count; ++c) {
+                    cc[c] = &ws[c]->counts[j];
+                    cc[c]->clear();
                 }
+                accumulateRow(r0 + j, count, ws, cc, in, w0, sw, ms[j],
+                              eff_ms[j]);
             }
-            if (exact) {
-                // Pair up products for the 3:2 carry-save add (an odd
-                // trailing product goes in alone); every weight row is
-                // walked once and feeds all images' planes.
-                const std::uint64_t *pw = nullptr;
-                const std::uint64_t *px[kMaxCohortImages];
-                const std::uint64_t *x2[kMaxCohortImages];
+            for (std::size_t c = 0; c < count; ++c) {
+                std::uint64_t *dst[kGroup];
+                for (std::size_t j = 0; j < n; ++j)
+                    dst[j] = slots[c].out->row(r0 + j) + w0;
+                policy_.drive(*ws[c], r0, n, ms, eff_ms, begin, end, dst);
+            }
+        }
+    }
+
+  private:
+    /**
+     * Accumulate output row @p r's products, bias and (sorter) neutral
+     * pad into every image's counter cc[c]; report the product count
+     * plus bias in @p m and the padded count in @p eff_m.
+     */
+    void
+    accumulateRow(std::size_t r, std::size_t count,
+                  typename Policy::Scratch *const ws[],
+                  sc::ColumnCounts *const cc[],
+                  const sc::StreamMatrix *const in[], std::size_t w0,
+                  std::size_t sw, int &m, int &eff_m) const
+    {
+        m = 0;
+        bool exact = true;
+        if constexpr (Policy::kApproxCapable) {
+            if (policy_.approx) {
+                exact = false;
+                // One XNOR per product per image, shared by the
+                // counter and the overcount model; products observed
+                // in visit order per image.
+                for (std::size_t c = 0; c < count; ++c)
+                    ws[c]->over.reset();
                 m = gather_.forEachProduct(
                     r, [&](std::size_t xr, std::size_t wr) {
                         const std::uint64_t *w =
                             streams().weights.row(wr) + w0;
-                        if (pw != nullptr) {
-                            for (std::size_t c = 0; c < count; ++c)
-                                x2[c] = in[c]->row(xr) + w0;
-                            sc::ColumnCounts::addXnor2Multi(
-                                cc, px, x2, count, pw, w, sw);
-                            pw = nullptr;
-                        } else {
-                            pw = w;
-                            for (std::size_t c = 0; c < count; ++c)
-                                px[c] = in[c]->row(xr) + w0;
+                        for (std::size_t c = 0; c < count; ++c) {
+                            xnorProduct(ws[c]->prod.data(),
+                                        in[c]->row(xr) + w0, w, sw);
+                            cc[c]->addWords(ws[c]->prod.data(), sw);
+                            ws[c]->over.observe(ws[c]->prod, sw);
                         }
                     });
-                if (pw != nullptr)
-                    sc::ColumnCounts::addXnorMulti(cc, px, count, pw, sw);
             }
-            // Bias enters the sum as one more product stream of fixed
-            // value (its "input" is the constant 1 stream).
-            sc::ColumnCounts::addWordsMulti(
-                cc, count, streams().biases.row(gather_.biasRow(r)) + w0,
-                sw);
-            ++m;
-            int eff_m = m;
-            if constexpr (Policy::kPadToOdd) {
-                if (m % 2 == 0) {
-                    sc::ColumnCounts::addWordsMulti(cc, count, neutral,
-                                                    sw);
-                    eff_m = m + 1;
-                }
+        } else {
+            (void)ws;
+        }
+        if (exact) {
+            // Pair up products for the 3:2 carry-save add (an odd
+            // trailing product goes in alone); every weight row is
+            // walked once and feeds all images' planes.
+            const std::uint64_t *pw = nullptr;
+            const std::uint64_t *px[kMaxCohortImages];
+            const std::uint64_t *x2[kMaxCohortImages];
+            m = gather_.forEachProduct(
+                r, [&](std::size_t xr, std::size_t wr) {
+                    const std::uint64_t *w = streams().weights.row(wr) + w0;
+                    if (pw != nullptr) {
+                        for (std::size_t c = 0; c < count; ++c)
+                            x2[c] = in[c]->row(xr) + w0;
+                        sc::ColumnCounts::addXnor2Multi(cc, px, x2, count,
+                                                        pw, w, sw);
+                        pw = nullptr;
+                    } else {
+                        pw = w;
+                        for (std::size_t c = 0; c < count; ++c)
+                            px[c] = in[c]->row(xr) + w0;
+                    }
+                });
+            if (pw != nullptr)
+                sc::ColumnCounts::addXnorMulti(cc, px, count, pw, sw);
+        }
+        // Bias enters the sum as one more product stream of fixed
+        // value (its "input" is the constant 1 stream).
+        sc::ColumnCounts::addWordsMulti(
+            cc, count, streams().biases.row(gather_.biasRow(r)) + w0, sw);
+        ++m;
+        eff_m = m;
+        if constexpr (Policy::kPadToOdd) {
+            if (m % 2 == 0) {
+                sc::ColumnCounts::addWordsMulti(
+                    cc, count, streams().neutral.row(0) + w0, sw);
+                eff_m = m + 1;
             }
-            for (std::size_t c = 0; c < count; ++c)
-                policy_.drive(*ws[c], r, m, eff_m, begin, end,
-                              slots[c].out->row(r) + w0);
         }
     }
 

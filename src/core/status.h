@@ -137,10 +137,10 @@ class StatusError : public std::runtime_error
  * wedging it for the rest of the stream.  Any other thread (the
  * watchdog) may call requestCancel() at any time.
  *
- * poll() increments beats(): a monotonic progress counter the watchdog
- * samples to tell "slow but advancing" from "stuck" — deliberately, an
- * injected hang does NOT beat (it only watches cancelRequested()), so
- * the watchdog sees it as stuck and kicks it.
+ * rearm() and poll() increment beats(): a monotonic progress counter
+ * the watchdog samples to tell "slow but advancing" from "stuck" —
+ * deliberately, an injected hang does NOT beat (it only watches
+ * cancelRequested()), so the watchdog sees it as stuck and kicks it.
  */
 class RunControl
 {
@@ -149,12 +149,19 @@ class RunControl
     static constexpr std::chrono::steady_clock::time_point kNoDeadline =
         std::chrono::steady_clock::time_point::max();
 
-    /** Owner only, between runs: clear the cancel flag and set the
-     *  deadline of the next run.  beats() keeps counting monotonically. */
+    /**
+     * Owner only, between runs: clear the cancel flag, set the deadline
+     * of the next run, and record one beat.  Starting a run is
+     * progress, so a watchdog's stall window restarts at every run
+     * (the isolation re-run after a kick included) instead of running
+     * on from an earlier kick through the set-up before the first
+     * poll().  An injected hang still never beats after its rearm.
+     */
     void rearm(std::chrono::steady_clock::time_point deadline = kNoDeadline)
     {
         deadline_ = deadline;
         cancel_.store(false, std::memory_order_release);
+        beats_.fetch_add(1, std::memory_order_relaxed);
     }
 
     /** Any thread: ask the current run to stop at its next checkpoint. */

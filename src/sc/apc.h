@@ -22,6 +22,7 @@
 #ifndef AQFPSC_SC_APC_H
 #define AQFPSC_SC_APC_H
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 #include <cstdint>
@@ -283,6 +284,89 @@ class ColumnCounts
         }
     }
 
+    /** Rows one row-group drive steps together: one bit per row. */
+    static constexpr std::size_t kGroupRows = 64;
+
+    /**
+     * 64x64 bit-matrix transpose in place (Hacker's Delight 7-3,
+     * widened to 64 bits, least significant bit first): bit b of a[j]
+     * trades places with bit j of a[b].  Six rounds swap ever smaller
+     * off-diagonal blocks; each round's inner loop runs over
+     * contiguous words, so the compiler vectorizes it.
+     */
+    static void
+    transpose64(std::uint64_t a[64])
+    {
+        transposeRound<32>(a, 0x00000000FFFFFFFFULL);
+        transposeRound<16>(a, 0x0000FFFF0000FFFFULL);
+        transposeRound<8>(a, 0x00FF00FF00FF00FFULL);
+        transposeRound<4>(a, 0x0F0F0F0F0F0F0F0FULL);
+        transposeRound<2>(a, 0x3333333333333333ULL);
+        transposeRound<1>(a, 0x5555555555555555ULL);
+    }
+
+    /**
+     * Row-group drive: drivePrefix() of up to kGroupRows counters at
+     * once, with the step function bit-sliced across rows instead of
+     * called once per row and cycle.  For every 64-cycle word, each
+     * plane any row of the group dirtied is transposed from
+     * [row][cycle] to [cycle][row] (transpose64); then, for each of the
+     * word's cycles in order,
+     *
+     *     std::uint64_t out = step(count, planes);
+     *
+     * sees count[k] = bit k of every row's count at that cycle (bit j
+     * belongs to rows[j], k < planes) and returns the rows' output bits
+     * in the same layout.  The output masks are transposed back into
+     * word w of each dst[j] (tail bits beyond @p cycles zeroed), so row
+     * j's output equals rows[j].drivePrefix(cycles, ...) with the
+     * per-row form of the step.  The @p n counters are contiguous and
+     * share one plane geometry.
+     */
+    template <typename SlicedStep>
+    static void
+    driveRowGroup(const ColumnCounts *rows, std::size_t n,
+                  std::size_t cycles, SlicedStep &&step,
+                  std::uint64_t *const dst[])
+    {
+        assert(n >= 1 && n <= kGroupRows);
+        const std::size_t wc = rows[0].wordCount_;
+        int planes = 0;
+        for (std::size_t j = 0; j < n; ++j) {
+            assert(rows[j].wordCount_ == wc &&
+                   rows[j].planeCount_ == rows[0].planeCount_);
+            assert(cycles <= rows[j].len_);
+            planes = std::max(planes, rows[j].dirtyPlanes());
+        }
+        const std::size_t words = (cycles + 63) / 64;
+        std::uint64_t t[kMaxPlanes][64];
+        std::uint64_t outs[64];
+        for (std::size_t w = 0; w < words; ++w) {
+            for (int k = 0; k < planes; ++k) {
+                const std::size_t off = static_cast<std::size_t>(k) * wc + w;
+                for (std::size_t j = 0; j < n; ++j)
+                    t[k][j] = rows[j].planes_[off];
+                for (std::size_t j = n; j < 64; ++j)
+                    t[k][j] = 0;
+                transpose64(t[k]);
+            }
+            const std::size_t base = w * 64;
+            const std::size_t hi = cycles - base < 64 ? cycles - base : 64;
+            std::uint64_t count[kMaxPlanes];
+            for (std::size_t b = 0; b < hi; ++b) {
+                for (int k = 0; k < planes; ++k)
+                    count[k] = t[k][b];
+                outs[b] = step(static_cast<const std::uint64_t *>(count),
+                               planes);
+            }
+            for (std::size_t b = hi; b < 64; ++b)
+                outs[b] = 0;
+            transpose64(outs);
+            for (std::size_t j = 0; j < n; ++j)
+                dst[j][w] = outs[j];
+        }
+    }
+
     /** Number of streams added so far. */
     int added() const { return added_; }
 
@@ -299,6 +383,25 @@ class ColumnCounts
     void clear();
 
   private:
+    /** Most planes a counter can have (counts are ints). */
+    static constexpr int kMaxPlanes = 32;
+
+    /** One transpose64() round: swap the upper-right and lower-left
+     *  J x J blocks of every 2J x 2J diagonal block (@p m selects the
+     *  low J bits of each 2J-bit field). */
+    template <unsigned J>
+    static void
+    transposeRound(std::uint64_t *a, std::uint64_t m)
+    {
+        for (unsigned base = 0; base < 64; base += 2 * J) {
+            for (unsigned k = base; k < base + J; ++k) {
+                const std::uint64_t t = ((a[k] >> J) ^ a[k + J]) & m;
+                a[k] ^= t << J;
+                a[k + J] ^= t;
+            }
+        }
+    }
+
     /** Planes the currently-added streams can have written. */
     int
     dirtyPlanes() const

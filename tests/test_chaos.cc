@@ -290,6 +290,28 @@ TEST(ChaosTimeout, SlowdownTripsPerRequestTimeout)
 // ---------------------------------------------------------------------
 // Worker supervision.
 
+TEST(ChaosSupervision, RearmCountsOneBeat)
+{
+    // Starting a run is progress: the watchdog's stall window restarts
+    // at every rearm, so a kicked batch's isolation re-run is not
+    // kicked again before its first checkpoint.
+    core::RunControl control;
+    EXPECT_EQ(control.beats(), 0u);
+    control.requestCancel();
+    control.rearm();
+    EXPECT_EQ(control.beats(), 1u);
+    EXPECT_FALSE(control.cancelRequested());
+    EXPECT_EQ(control.poll(), StatusCode::Ok);
+    EXPECT_EQ(control.beats(), 2u);
+    control.rearm(std::chrono::steady_clock::now() +
+                  std::chrono::hours(1));
+    EXPECT_EQ(control.beats(), 3u);
+    // The stall probes themselves never beat.
+    EXPECT_FALSE(control.cancelRequested());
+    EXPECT_FALSE(control.expired());
+    EXPECT_EQ(control.beats(), 3u);
+}
+
 TEST(ChaosSupervision, CrashedWorkerIsRespawnedAndBatchRetried)
 {
     FaultPlan plan(31);

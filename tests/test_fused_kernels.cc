@@ -22,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cinttypes>
 #include <cstdlib>
@@ -356,6 +357,187 @@ TEST(FusedKernels, FeedbackUnitResetRearmsLikeConstruction)
         EXPECT_EQ(reused.carry(), fresh.carry());
         EXPECT_EQ(pool_reused.carry(), pool_fresh.carry());
     }
+}
+
+// ------------------------------------------------------------------------
+// Row-group drive: 64 rows stepped together, one bit per row, against
+// one per-row feedback unit step per row and cycle
+// ------------------------------------------------------------------------
+
+TEST(RowGroupDrive, Transpose64MatchesNaiveTranspose)
+{
+    sc::Xoshiro256StarStar rng(21);
+    std::uint64_t a[64];
+    for (auto &w : a)
+        w = rng.nextWord();
+    std::uint64_t t[64];
+    std::copy(std::begin(a), std::end(a), std::begin(t));
+    sc::ColumnCounts::transpose64(t);
+    for (int j = 0; j < 64; ++j)
+        for (int b = 0; b < 64; ++b)
+            ASSERT_EQ((t[b] >> j) & 1ULL, (a[j] >> b) & 1ULL)
+                << "row " << j << " cycle " << b;
+    sc::ColumnCounts::transpose64(t);
+    EXPECT_TRUE(std::equal(std::begin(a), std::end(a), std::begin(t)));
+}
+
+/**
+ * Drive @p n rows of random counts through the row-group drive in
+ * 64-cycle-aligned spans (starting at @p spanStarts, resuming the
+ * carries across spans) and through a per-row Unit over the whole
+ * stream; every output word must match, tail bits included.  Row j
+ * gathers m[j] random streams (tail bits of the last word random too,
+ * as XNOR products leave them), so its count stays in [0, m[j]].
+ */
+template <typename Unit, typename Slices>
+void
+expectRowGroupMatchesPerRowUnits(std::size_t n, std::size_t len,
+                                 const std::vector<std::size_t> &spanStarts,
+                                 const std::vector<int> &ms, int carrySlack,
+                                 std::uint64_t seed)
+{
+    SCOPED_TRACE("rows=" + std::to_string(n) + " len=" +
+                 std::to_string(len));
+    sc::Xoshiro256StarStar rng(seed);
+    const std::size_t wpr = (len + 63) / 64;
+    std::vector<int> m(n);
+    std::vector<int> carries(n);
+    std::vector<std::vector<std::uint64_t>> streams(n);
+    int maxM = 1;
+    for (std::size_t j = 0; j < n; ++j) {
+        m[j] = ms[rng.nextWord() % ms.size()];
+        maxM = std::max(maxM, m[j]);
+        // Arbitrary resume point: any carry the unit can hold.
+        carries[j] = static_cast<int>(
+            rng.nextWord() % static_cast<std::uint64_t>(m[j] + carrySlack));
+        streams[j].resize(static_cast<std::size_t>(m[j]) * wpr);
+        // Vary the density per row so outputs are not all 50/50.
+        const int skew = static_cast<int>(rng.nextWord() % 3);
+        for (auto &w : streams[j]) {
+            w = rng.nextWord();
+            if (skew == 1)
+                w &= rng.nextWord();
+            else if (skew == 2)
+                w |= rng.nextWord();
+        }
+    }
+
+    // Reference: materialized counts, one unit step per row and cycle.
+    std::vector<std::uint64_t> ref(n * wpr, 0);
+    for (std::size_t j = 0; j < n; ++j) {
+        sc::ColumnCounts counts(len, m[j]);
+        for (int s = 0; s < m[j]; ++s)
+            counts.addWords(&streams[j][static_cast<std::size_t>(s) * wpr],
+                            wpr);
+        std::vector<int> col;
+        counts.extract(col);
+        Unit unit(m[j]);
+        unit.restore(m[j], carries[j]);
+        for (std::size_t i = 0; i < len; ++i) {
+            if (unit.step(col[i]))
+                core::stages::setStreamBit(&ref[j * wpr], i);
+        }
+    }
+
+    // Row group, span by span, into poisoned outputs.
+    std::vector<std::uint64_t> got(n * wpr, ~0ULL);
+    std::vector<sc::ColumnCounts> counts;
+    counts.reserve(n);
+    for (std::size_t j = 0; j < n; ++j)
+        counts.emplace_back(len, maxM);
+    Slices slices;
+    for (std::size_t s = 0; s < spanStarts.size(); ++s) {
+        const std::size_t begin = spanStarts[s];
+        const std::size_t end =
+            s + 1 < spanStarts.size() ? spanStarts[s + 1] : len;
+        ASSERT_EQ(begin % 64, 0u);
+        const std::size_t w0 = begin / 64;
+        const std::size_t sw = (end - begin + 63) / 64;
+        std::uint64_t *dst[sc::ColumnCounts::kGroupRows];
+        slices.clear();
+        for (std::size_t j = 0; j < n; ++j) {
+            counts[j].clear();
+            for (int k = 0; k < m[j]; ++k)
+                counts[j].addWords(
+                    &streams[j][static_cast<std::size_t>(k) * wpr + w0], sw);
+            slices.restore(static_cast<int>(j), m[j], carries[j]);
+            dst[j] = &got[j * wpr + w0];
+        }
+        sc::ColumnCounts::driveRowGroup(
+            counts.data(), n, end - begin,
+            [&](const std::uint64_t *c, int planes) {
+                return slices.step(c, planes);
+            },
+            dst);
+        for (std::size_t j = 0; j < n; ++j)
+            carries[j] = slices.carry(static_cast<int>(j));
+    }
+    for (std::size_t j = 0; j < n; ++j)
+        for (std::size_t w = 0; w < wpr; ++w)
+            ASSERT_EQ(got[j * wpr + w], ref[j * wpr + w])
+                << "row " << j << " m=" << m[j] << " word " << w;
+}
+
+const std::size_t kGroupSizes[] = {1, 7, 63, 64};
+
+/** One full-length pass over a stream whose last word is partial, the
+ *  same stream in 64-cycle-aligned spans, and a one-word stream. */
+struct SpanCase
+{
+    std::size_t len;
+    std::vector<std::size_t> starts;
+};
+const std::vector<SpanCase> kSpanCases = {
+    {1000, {0}}, {1000, {0, 64, 128, 448, 960}}, {37, {0}}};
+
+// Mixed odd m (conv border and interior windows) and wide dense rows
+// whose counts need more than 8 planes.
+const std::vector<int> kSorterNarrowM = {3, 5, 7, 11};
+const std::vector<int> kSorterWideM = {3, 11, 393, 801};
+const std::vector<int> kPoolNarrowM = {1, 2, 3, 4};
+const std::vector<int> kPoolWideM = {4, 5, 393, 801};
+
+TEST(RowGroupDrive, SorterMatchesPerRowFeatureFeedbackUnits)
+{
+    std::uint64_t seed = 500;
+    for (const std::size_t n : kGroupSizes)
+        for (const auto *ms : {&kSorterNarrowM, &kSorterWideM})
+            for (const SpanCase &sc : kSpanCases)
+                expectRowGroupMatchesPerRowUnits<
+                    blocks::FeatureFeedbackUnit,
+                    blocks::FeatureFeedbackSlices>(n, sc.len, sc.starts,
+                                                   *ms, 1, ++seed);
+}
+
+TEST(RowGroupDrive, PoolingMatchesPerRowPoolingFeedbackUnits)
+{
+    std::uint64_t seed = 700;
+    for (const std::size_t n : kGroupSizes)
+        for (const auto *ms : {&kPoolNarrowM, &kPoolWideM})
+            for (const SpanCase &sc : kSpanCases)
+                expectRowGroupMatchesPerRowUnits<
+                    blocks::PoolingFeedbackUnit,
+                    blocks::PoolingFeedbackSlices>(n, sc.len, sc.starts,
+                                                   *ms, 0, ++seed);
+}
+
+TEST(RowGroupDrive, SliceResetArmsLikeUnitConstruction)
+{
+    blocks::FeatureFeedbackSlices feature;
+    blocks::PoolingFeedbackSlices pool;
+    const int ms[] = {1, 3, 11, 393, 801};
+    for (int j = 0; j < 5; ++j) {
+        feature.reset(j, ms[j]);
+        pool.reset(j, ms[j]);
+    }
+    for (int j = 0; j < 5; ++j) {
+        EXPECT_EQ(feature.carry(j), blocks::FeatureFeedbackUnit(ms[j]).carry());
+        EXPECT_EQ(pool.carry(j), blocks::PoolingFeedbackUnit(ms[j]).carry());
+    }
+    // The widest armed row sets the slice width: 2 * 801 < 2^11.
+    EXPECT_EQ(feature.width(), 11);
+    feature.clear();
+    EXPECT_EQ(feature.width(), 0);
 }
 
 // ------------------------------------------------------------------------
